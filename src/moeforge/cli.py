@@ -10,6 +10,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import fields
 
 import numpy as np
 
@@ -43,13 +44,7 @@ EXIT_USAGE = 2
 EXIT_DATA = 3
 EXIT_DIVERGENCE = 4
 
-
-def max_threads() -> int:
-    """Worker-thread cap from MOEFORGE_THREADS (default 1)."""
-    try:
-        return max(1, int(os.environ.get("MOEFORGE_THREADS", "1")))
-    except ValueError:
-        return 1
+TRAIN_KEYS = {f.name for f in fields(TrainConfig)} | {"num_samples"}
 
 
 # ---------------------------------------------------------------- serialization
@@ -163,13 +158,11 @@ def _synthetic_importance(ffn: DenseFfn, n: int, seed: int, num_samples: int):
     """Importance vectors from seeded synthetic data: gaussian inputs,
     squared-error loss against gaussian targets (grad_y = y - target)."""
     rng = Rng(seed ^ 0xDA7A)
-    samples = []
-    for _ in range(num_samples):
-        x = rng.normal_array((ffn.d,))
-        target = rng.normal_array((ffn.d,))
-        y, _ = ffn_forward(ffn, x)
-        samples.append((x, y - target))
-    vecs = importance_by_groups(ffn, samples, n, rng, max_workers=max_threads())
+    # per sample: x, then its target, as consecutive draws
+    drawn = rng.normal_array((num_samples, 2, ffn.d))
+    x, target = drawn[:, 0], drawn[:, 1]
+    y, _ = ffn_forward(ffn, x)
+    vecs = importance_by_groups(ffn, list(zip(x, y - target)), n, rng)
     return [v.values for v in vecs]
 
 
@@ -213,18 +206,16 @@ def cmd_train(args) -> int:
     teacher = ffn_from_mft(args.teacher)
     with open(args.config) as f:
         doc = json.load(f)
-    cfg = TrainConfig(
-        lr_max=doc.get("lr_max", 2e-4),
-        lr_final=doc.get("lr_final", 2e-5),
-        warmup_steps=doc.get("warmup_steps", 100),
-        total_steps=doc.get("total_steps", 500),
-        batch_size=doc.get("batch_size", 32),
-        balance_coeff=doc.get("balance_coeff", 0.01),
-        seed=doc.get("seed", 0),
-    )
+    if not isinstance(doc, dict):
+        raise ValueError("train config must be a JSON object")
+    unknown = sorted(set(doc) - TRAIN_KEYS)
+    if unknown:
+        raise ValueError(f"unknown train config keys: {', '.join(unknown)}")
+    cfg = TrainConfig(**{k: v for k, v in doc.items() if k != "num_samples"})
     num_samples = doc.get("num_samples", max(cfg.batch_size, 64))
-    rng = Rng(cfg.seed)
-    data = [rng.normal_array((teacher.d,)) for _ in range(num_samples)]
+    if not isinstance(num_samples, int) or num_samples < 1:
+        raise ValueError("num_samples must be a positive integer")
+    data = Rng(cfg.seed).normal_array((num_samples, teacher.d))
 
     os.makedirs(args.out, exist_ok=True)
     report_path = os.path.join(args.out, "train_report.csv")

@@ -2,16 +2,19 @@
 
 Forward: h = (x @ W_up) * swish(x @ W_gate), y = h @ W_down. Input x is a
 row vector left-multiplying the weights, so "neuron j" means column j of
-W_up/W_gate and row j of W_down.
+W_up/W_gate and row j of W_down. A batch X (B, d) stacks B such rows, and
+every SwiGLU in the package (teacher, experts, residual expert, importance)
+runs through the batch-first `swiglu_forward` / `swiglu_backward` pair.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .tensor import ShapeError, as_matrix, as_vector, swish
+from .tensor import as_matrix, as_rows, sigmoid
 
 
 @dataclass(frozen=True)
@@ -51,16 +54,53 @@ class DenseFfn:
         )
 
 
+class SwigluCache(NamedTuple):
+    """Forward intermediates for a (B, d) batch, each (B, d_h)."""
+
+    a: np.ndarray  # X @ W_up
+    b: np.ndarray  # X @ W_gate
+    s: np.ndarray  # sigmoid(b)
+    h: np.ndarray  # a * swish(b)
+
+
+def swiglu_forward(
+    x: np.ndarray, w_up: np.ndarray, w_gate: np.ndarray, w_down: np.ndarray
+) -> tuple[np.ndarray, SwigluCache]:
+    """Y = (X @ W_up * swish(X @ W_gate)) @ W_down for X (B, d), with the
+    intermediates `swiglu_backward` needs. Inputs are not validated."""
+    a = x @ w_up
+    b = x @ w_gate
+    s = sigmoid(b)
+    h = b * s
+    h *= a
+    return h @ w_down, SwigluCache(a, b, s, h)
+
+
+def swiglu_backward(
+    x: np.ndarray, grad_y: np.ndarray, w_down: np.ndarray, cache: SwigluCache
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(dW_up, dW_gate, dW_down) summed over the batch, given dL/dY (B, d).
+
+    swish'(b) = sigmoid(b) * (1 + b * (1 - sigmoid(b))).
+    """
+    a, b, s, h = cache
+    grad_h = grad_y @ w_down.T
+    d_up = x.T @ (grad_h * (b * s))
+    d_gate = x.T @ (grad_h * a * (s * (1.0 + b * (1.0 - s))))
+    return d_up, d_gate, h.T @ grad_y
+
+
 def ffn_forward(ffn: DenseFfn, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Returns (y, h). h is exposed because importance scoring consumes it."""
-    x = as_vector(x, ffn.d)
-    h = (x @ ffn.w_up) * swish(x @ ffn.w_gate)
-    return h @ ffn.w_down, h
+    """Returns (y, h) for x (d,) or (Y, H) for a batch X (B, d). h is exposed
+    because importance scoring consumes it."""
+    xs, single = as_rows(x, ffn.d)
+    y, cache = swiglu_forward(xs, ffn.w_up, ffn.w_gate, ffn.w_down)
+    return (y[0], cache.h[0]) if single else (y, cache.h)
 
 
 def ffn_output_grad_to_h(ffn: DenseFfn, grad_y: np.ndarray) -> np.ndarray:
-    """Chain rule through y = h @ W_down: grad_h = grad_y @ W_down^T."""
-    grad_y = np.asarray(grad_y, dtype=np.float64)
-    if grad_y.shape != (ffn.d,):
-        raise ShapeError(f"grad_y must have length {ffn.d}, got {grad_y.shape}")
-    return grad_y @ ffn.w_down.T
+    """Chain rule through y = h @ W_down: grad_h = grad_y @ W_down^T, for
+    grad_y (d,) or a batch (B, d)."""
+    grads, single = as_rows(grad_y, ffn.d)
+    grad_h = grads @ ffn.w_down.T
+    return grad_h[0] if single else grad_h

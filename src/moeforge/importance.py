@@ -3,7 +3,8 @@
 Each sample contributes |h * grad_h| to the running importance vector,
 where h is the FFN's intermediate activation and grad_h the loss gradient
 pulled back from the output. The loss itself is abstracted: callers supply
-grad_y per sample (for a squared-error loss, grad_y = y - target).
+grad_y per sample (for a squared-error loss, grad_y = y - target). A group
+is scored in one batch: |H * (G_y @ W_down^T)| summed over its rows.
 """
 
 from __future__ import annotations
@@ -50,10 +51,10 @@ def accumulate_importance(
     if len(v.values) != ffn.d_h:
         raise ShapeError(f"importance vector length {len(v.values)} != d_h {ffn.d_h}")
     values = v.values.copy()
-    for x, grad_y in group.samples:
-        _, h = ffn_forward(ffn, x)
-        grad_h = ffn_output_grad_to_h(ffn, grad_y)
-        values += np.abs(h * grad_h)
+    if group.samples:
+        _, h = ffn_forward(ffn, np.array([x for x, _ in group.samples]))
+        grad_h = ffn_output_grad_to_h(ffn, np.array([g for _, g in group.samples]))
+        values += np.abs(h * grad_h).sum(axis=0)
     return ImportanceVector(values=values, samples_seen=v.samples_seen + len(group.samples))
 
 
@@ -90,23 +91,12 @@ def importance_by_groups(
     samples: list[tuple[np.ndarray, np.ndarray]],
     n: int,
     rng: Rng,
-    max_workers: int = 1,
 ) -> list[ImportanceVector]:
     """Cluster inputs into n groups and accumulate one importance vector per
-    group. Groups may be processed in parallel; results merge in group order
-    so the outcome is independent of worker count."""
+    group, in group order."""
     groups_idx = group_data_by_clustering([x for x, _ in samples], n, rng)
     groups = [
         DataGroup(id=f"group{c}", samples=[samples[i] for i in idx])
         for c, idx in enumerate(groups_idx)
     ]
-
-    def run(group: DataGroup) -> ImportanceVector:
-        return accumulate_importance(ffn, group, ImportanceVector.zeros(ffn.d_h))
-
-    if max_workers > 1 and len(groups) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            return list(pool.map(run, groups))
-    return [run(g) for g in groups]
+    return [accumulate_importance(ffn, g, ImportanceVector.zeros(ffn.d_h)) for g in groups]

@@ -4,12 +4,12 @@ gating, N/k output re-scaling, and coefficient-of-variation balance losses.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .dense_ffn import DenseFfn
-from .tensor import Rng, ShapeError, as_matrix, as_vector, softmax, swish
+from .dense_ffn import DenseFfn, SwigluCache, swiglu_forward
+from .tensor import Rng, ShapeError, as_matrix, as_rows, softmax
 
 
 def softplus(z: np.ndarray) -> np.ndarray:
@@ -18,33 +18,22 @@ def softplus(z: np.ndarray) -> np.ndarray:
     return np.maximum(z, 0.0) + np.log1p(np.exp(-np.abs(z)))
 
 
-@dataclass
-class ExpertFfn:
-    """One expert: SwiGLU slice of the dense FFN plus its source indices."""
+@dataclass(frozen=True)
+class ExpertFfn(DenseFfn):
+    """One expert: a SwiGLU slice of the dense FFN (d_h = m neurons) plus
+    the dense neuron indices it was cut from."""
 
-    w_up: np.ndarray
-    w_gate: np.ndarray
-    w_down: np.ndarray
-    source_indices: tuple[int, ...]
-
-    def __post_init__(self):
-        self.w_up = as_matrix(self.w_up)
-        d, m = self.w_up.shape
-        self.w_gate = as_matrix(self.w_gate, d, m)
-        self.w_down = as_matrix(self.w_down, m, d)
-
-    @property
-    def d(self) -> int:
-        return self.w_up.shape[0]
+    source_indices: tuple[int, ...] = ()
 
     @property
     def m(self) -> int:
-        return self.w_up.shape[1]
+        return self.d_h
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        x = as_vector(x, self.d)
-        h = (x @ self.w_up) * swish(x @ self.w_gate)
-        return h @ self.w_down
+        """Expert output for x (d,) or a batch X (B, d)."""
+        xs, single = as_rows(x, self.d)
+        y, _ = swiglu_forward(xs, self.w_up, self.w_gate, self.w_down)
+        return y[0] if single else y
 
     def param_count(self) -> int:
         return self.w_up.size + self.w_gate.size + self.w_down.size
@@ -74,7 +63,8 @@ class GateNetwork:
 
 @dataclass(frozen=True)
 class TokenRouting:
-    """Selected expert indices and their gate weights for one token."""
+    """Selected expert indices and their gate weights for one token. For a
+    batch, `moe_forward` fills both fields with (B, k) arrays."""
 
     experts: tuple[int, ...]
     weights: tuple[float, ...]
@@ -83,36 +73,55 @@ class TokenRouting:
 @dataclass(frozen=True)
 class AuxLossTerms:
     """Balance-loss inputs for one token: dense softmax over clean logits
-    (for the importance term) and the hard selection set (for load)."""
+    (for the importance term) and the hard selection set (for load). For a
+    batch, (B, n) and (B, k) arrays."""
 
     dense_probs: np.ndarray
     selected: tuple[int, ...]
 
 
-def gate_forward(
+def top_k(logits: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's k largest logits: their indices in ascending order and the
+    softmax over them.
+
+    Ties go to the lower index: a stable sort of the negated logits keeps
+    equal entries in index order.
+    """
+    top = np.sort(np.argsort(-logits, axis=-1, kind="stable")[..., :k], axis=-1)
+    return top, softmax(np.take_along_axis(logits, top, axis=-1))
+
+
+def route(
     gate: GateNetwork, x: np.ndarray, rng: Rng | None = None
-) -> tuple[np.ndarray, tuple[int, ...]]:
-    """Returns (weights over all N experts with exactly k nonzero, top-k set).
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Gate a batch X (B, d): returns clean logits (B, N), the top-k set
+    (B, k) and its softmax weights (B, k).
 
     Noisy logits: (x @ w_g)_i + eps_i * softplus((x @ w_noise)_i) with
-    eps ~ N(0,1) when noise is enabled. Softmax is taken over the k
-    surviving logits with the rest masked.
+    eps ~ N(0,1) drawn row by row when noise is enabled. Selection and
+    weights use the noisy logits; the returned logits are the clean ones.
     """
-    x = as_vector(x, gate.w_g.shape[0])
     logits = x @ gate.w_g
+    noisy = logits
     if gate.noise_enabled:
         if rng is None:
             raise ValueError("noisy gate requires an rng")
-        eps = np.array([rng.next_normal() for _ in range(gate.n_experts)])
-        logits = logits + eps * softplus(x @ gate.w_noise)
+        noisy = logits + rng.normal_array(logits.shape) * softplus(x @ gate.w_noise)
+    top, g = top_k(noisy, gate.k)
+    return logits, top, g
 
-    k = gate.k
-    # top-k with ties broken toward the lower index
-    order = sorted(range(gate.n_experts), key=lambda i: (-logits[i], i))
-    topk = tuple(sorted(order[:k]))
-    masked = np.full(gate.n_experts, -np.inf)
-    masked[list(topk)] = logits[list(topk)]
-    return softmax(masked), topk
+
+def gate_forward(
+    gate: GateNetwork, x: np.ndarray, rng: Rng | None = None
+) -> tuple[np.ndarray, tuple[int, ...]]:
+    """Returns (weights over all N experts with exactly k nonzero, top-k set)
+    for one token x (d,). Softmax is taken over the k surviving logits with
+    the rest masked."""
+    xs, _ = as_rows(x, gate.w_g.shape[0])
+    _, top, g = route(gate, xs, rng)
+    weights = np.zeros(gate.n_experts)
+    weights[top[0]] = g[0]
+    return weights, tuple(int(i) for i in top[0])
 
 
 @dataclass
@@ -153,25 +162,46 @@ class MoeLayer:
         return sum(e.param_count() for e in self.experts)
 
 
+def dispatch(
+    layer: MoeLayer, x: np.ndarray, top: np.ndarray, g: np.ndarray
+) -> tuple[np.ndarray, list[tuple], SwigluCache | None]:
+    """Grouped expert forward over a batch X (B, d) routed to `top` with
+    weights `g` (both (B, k)): each expert runs once over the rows that
+    selected it, and the residual expert once over every row.
+
+    Returns Y (B, d), then per expert (rows, pos, out, cache) where
+    top[rows, pos] is that expert and out its ungated output, then the
+    residual expert's cache or None.
+    """
+    y = np.zeros_like(x)
+    groups = []
+    for i, ex in enumerate(layer.experts):
+        rows, pos = np.nonzero(top == i)
+        out, cache = swiglu_forward(x[rows], ex.w_up, ex.w_gate, ex.w_down)
+        y[rows] += (g[rows, pos] * layer.scale_factor)[:, None] * out
+        groups.append((rows, pos, out, cache))
+    res_cache = None
+    if layer.residual_expert is not None:
+        r = layer.residual_expert
+        res_out, res_cache = swiglu_forward(x, r.w_up, r.w_gate, r.w_down)
+        y += res_out
+    return y, groups, res_cache
+
+
 def moe_forward(
     layer: MoeLayer, x: np.ndarray, rng: Rng | None = None
 ) -> tuple[np.ndarray, TokenRouting, AuxLossTerms]:
     """y = sum_{i in topk} G(x)_i * (N/k) * E_i(x), plus the ungated,
-    unscaled residual expert when present."""
-    x = as_vector(x, layer.d)
-    weights, topk = gate_forward(layer.gate, x, rng)
-    y = np.zeros(layer.d)
-    for i in topk:
-        y += weights[i] * layer.scale_factor * layer.experts[i].forward(x)
-    if layer.residual_expert is not None:
-        y += layer.residual_expert.forward(x)
-
-    clean = softmax(x @ layer.gate.w_g)
-    routing = TokenRouting(
-        experts=topk, weights=tuple(float(weights[i]) for i in topk)
-    )
-    aux = AuxLossTerms(dense_probs=clean, selected=topk)
-    return y, routing, aux
+    unscaled residual expert when present, for x (d,) or a batch X (B, d)."""
+    xs, single = as_rows(x, layer.d)
+    logits, top, g = route(layer.gate, xs, rng)
+    y, _, _ = dispatch(layer, xs, top, g)
+    probs = softmax(logits)
+    if single:
+        topk = tuple(int(i) for i in top[0])
+        routing = TokenRouting(experts=topk, weights=tuple(float(w) for w in g[0]))
+        return y[0], routing, AuxLossTerms(dense_probs=probs[0], selected=topk)
+    return y, TokenRouting(experts=top, weights=g), AuxLossTerms(probs, top)
 
 
 def cv_squared(values: np.ndarray) -> float:

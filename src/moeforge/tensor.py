@@ -13,7 +13,7 @@ import numpy as np
 __all__ = [
     "ShapeError",
     "as_matrix",
-    "as_vector",
+    "as_rows",
     "matmul",
     "sigmoid",
     "swish",
@@ -42,16 +42,15 @@ def as_matrix(a, rows: int | None = None, cols: int | None = None) -> np.ndarray
     return np.ascontiguousarray(m)
 
 
-def as_vector(v, length: int | None = None) -> np.ndarray:
-    """Validate `v` as a finite float64 1-D array of optional fixed length."""
-    a = np.asarray(v, dtype=np.float64)
-    if a.ndim != 1:
-        raise ShapeError(f"expected a vector, got ndim={a.ndim}")
-    if length is not None and a.shape[0] != length:
-        raise ShapeError(f"expected length {length}, got {a.shape[0]}")
-    if not np.all(np.isfinite(a)):
-        raise ValueError("vector entries must be finite")
-    return a
+def as_rows(x, cols: int) -> tuple[np.ndarray, bool]:
+    """Validate `x` as one (cols,) vector or a (B, cols) batch of row vectors.
+
+    Returns the (B, cols) batch and whether `x` was a single vector, which
+    the batch treats as B=1.
+    """
+    a = np.asarray(x, dtype=np.float64)
+    single = a.ndim == 1
+    return as_matrix(a[None, :] if single else a, cols=cols), single
 
 
 def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -64,13 +63,13 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def sigmoid(z: np.ndarray) -> np.ndarray:
-    """Logistic function with overflow-safe branches for large |z|."""
+    """Logistic function, overflow-safe for large |z|: 1 / (1 + e^-z) for
+    z >= 0 and e^z / (1 + e^z) below, both from e = exp(-|z|) <= 1."""
     z = np.asarray(z, dtype=np.float64)
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
+    e = np.exp(-np.abs(z))
+    out = np.where(z >= 0, 1.0, e)
+    e += 1.0
+    out /= e
     return out
 
 
@@ -80,27 +79,22 @@ def swish(z: np.ndarray) -> np.ndarray:
     return z * sigmoid(z)
 
 
-def swish_grad(z: np.ndarray) -> np.ndarray:
-    """d/dz [z * sigmoid(z)] = sigmoid(z) * (1 + z * (1 - sigmoid(z)))."""
-    s = sigmoid(np.asarray(z, dtype=np.float64))
-    return s * (1.0 + z * (1.0 - s))
-
-
 def softmax(logits: np.ndarray) -> np.ndarray:
-    """Numerically stable softmax. -inf entries act as masks and map to 0.
+    """Numerically stable softmax over the last axis, so a (B, n) batch is
+    normalised row by row. -inf entries act as masks and map to 0.
 
-    Raises ValueError if every entry is masked or the vector is empty.
+    Raises ValueError if every entry of a row is masked or the input is empty.
     """
     z = np.asarray(logits, dtype=np.float64)
     if z.size == 0:
         raise ValueError("softmax of an empty vector")
     if np.any(np.isnan(z)) or np.any(z == np.inf):
         raise ValueError("softmax entries must be finite or -inf")
-    m = np.max(z)
-    if m == -np.inf:
+    m = np.max(z, axis=-1, keepdims=True)
+    if np.any(m == -np.inf):
         raise ValueError("softmax with all entries masked")
     e = np.exp(z - m)
-    return e / e.sum()
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def _splitmix64(x: int) -> tuple[int, int]:
@@ -170,8 +164,11 @@ class Rng:
         return items
 
     def normal_array(self, shape, scale: float = 1.0) -> np.ndarray:
+        """Consecutive next_normal() draws in C order, times `scale`. Filled
+        in place, so no per-draw Python list outlives the call."""
         n = int(np.prod(shape))
-        return np.array([self.next_normal() for _ in range(n)]).reshape(shape) * scale
+        draws = (self.next_normal() for _ in range(n))
+        return np.fromiter(draws, np.float64, count=n).reshape(shape) * scale
 
     def choice_weighted(self, weights: np.ndarray) -> int:
         """Index drawn with probability proportional to `weights` (sum ~ 1)."""

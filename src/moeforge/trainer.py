@@ -21,10 +21,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dense_ffn import DenseFfn, ffn_forward
-from .moe import MoeLayer, TokenRouting, balance_loss, cv_squared, softmax
+from .dense_ffn import DenseFfn, ffn_forward, swiglu_backward
+from .moe import (
+    ExpertFfn, GateNetwork, MoeLayer, assemble_moe, cv_squared, dispatch, moe_forward,
+    top_k,
+)
 from .partition import ExpertPartition
-from .tensor import Rng, swish, swish_grad
+from .tensor import Rng, as_matrix, softmax
+
+
+EVAL_ROWS = 64
 
 
 class DivergenceError(RuntimeError):
@@ -47,6 +53,17 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("warmup_steps", "total_steps", "batch_size", "seed"):
+            if not isinstance(getattr(self, name), int):
+                raise ValueError(f"{name} must be an integer")
+        for name in ("lr_max", "lr_final", "balance_coeff"):
+            if not isinstance(getattr(self, name), (int, float)):
+                raise ValueError(f"{name} must be a number")
+        for name in ("total_steps", "batch_size"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1")
+        if self.lr_max < 0 or self.lr_final < 0:
+            raise ValueError("learning rates must be nonnegative")
         if self.lr_final > self.lr_max:
             raise ValueError("lr_final must not exceed lr_max")
         if self.warmup_steps > self.total_steps:
@@ -95,180 +112,116 @@ class LayerGrads:
     gate_w_g: np.ndarray
     residual: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
 
-    @staticmethod
-    def zeros_like(layer: MoeLayer) -> "LayerGrads":
-        residual = None
-        if layer.residual_expert is not None:
-            r = layer.residual_expert
-            residual = (
-                np.zeros_like(r.w_up),
-                np.zeros_like(r.w_gate),
-                np.zeros_like(r.w_down),
-            )
-        return LayerGrads(
-            w_up=[np.zeros_like(e.w_up) for e in layer.experts],
-            w_gate=[np.zeros_like(e.w_gate) for e in layer.experts],
-            w_down=[np.zeros_like(e.w_down) for e in layer.experts],
-            gate_w_g=np.zeros_like(layer.gate.w_g),
-            residual=residual,
-        )
-
 
 def batch_loss_and_grads(
     layer: MoeLayer,
     teacher: DenseFfn,
-    xs: list[np.ndarray],
+    xs,
     balance_coeff: float,
 ) -> tuple[float, LayerGrads, dict]:
-    """Exact loss and analytic gradients for one batch (gate noise off)."""
-    n = layer.n_experts
+    """Exact loss and analytic gradients for one batch (gate noise off).
+
+    `xs` is a list of (d,) inputs or a (B, d) array. Tokens are grouped by
+    selected expert, so each expert runs one forward and one backward over
+    its rows. stats carries the routing: "experts" and "weights" (B, k), the
+    per-expert selection "counts" (n,) and the entropy of their shares.
+    """
+    x = as_matrix(xs, cols=layer.d)
+    batch, n = x.shape[0], layer.n_experts
     scale = layer.scale_factor
-    grads = LayerGrads.zeros_like(layer)
-    batch = len(xs)
 
-    mse_sum = 0.0
-    dense_probs: list[np.ndarray] = []
-    routings: list[TokenRouting] = []
-    # per-token caches needed for the importance-loss backward pass
-    token_cache = []
+    target, _ = ffn_forward(teacher, x)
+    logits = x @ layer.gate.w_g
+    top, g = top_k(logits, layer.gate.k)
+    y, groups, res_cache = dispatch(layer, x, top, g)
+    resid = y - target
+    mse = 0.5 * float(np.einsum("bd,bd->", resid, resid)) / batch
+    dldy = resid / batch
 
-    for x in xs:
-        target, _ = ffn_forward(teacher, x)
-        logits = x @ layer.gate.w_g
-        order = sorted(range(n), key=lambda i: (-logits[i], i))
-        topk = tuple(sorted(order[: layer.gate.k]))
-        zsel = logits[list(topk)]
-        g = softmax(zsel)
+    expert_grads = []
+    dgate_sel = np.zeros_like(g)
+    for ex, (rows, pos, out, cache) in zip(layer.experts, groups):
+        de = (g[rows, pos] * scale)[:, None] * dldy[rows]
+        expert_grads.append(swiglu_backward(x[rows], de, ex.w_down, cache))
+        dgate_sel[rows, pos] = scale * np.einsum("bd,bd->b", dldy[rows], out)
+    residual = None
+    if res_cache is not None:
+        residual = swiglu_backward(x, dldy, layer.residual_expert.w_down, res_cache)
 
-        # expert forwards with cached intermediates
-        per_expert = {}
-        y = np.zeros(layer.d)
-        for pos, i in enumerate(topk):
-            ex = layer.experts[i]
-            a = x @ ex.w_up
-            b = x @ ex.w_gate
-            sw = swish(b)
-            h = a * sw
-            out = h @ ex.w_down
-            per_expert[i] = (a, b, sw, h, out)
-            y += g[pos] * scale * out
-        res_cache = None
-        if layer.residual_expert is not None:
-            r = layer.residual_expert
-            ra = x @ r.w_up
-            rb = x @ r.w_gate
-            rsw = swish(rb)
-            rh = ra * rsw
-            y += rh @ r.w_down
-            res_cache = (ra, rb, rsw, rh)
+    # softmax over the selected logits; selection is straight-through
+    dz = np.zeros((batch, n))
+    dz_sel = g * (dgate_sel - np.einsum("bk,bk->b", dgate_sel, g)[:, None])
+    np.put_along_axis(dz, top, dz_sel, axis=1)
 
-        resid = y - target
-        mse_sum += 0.5 * float(resid @ resid)
-        dldy = resid / batch
-
-        # expert weight gradients
-        dgate_sel = np.zeros(len(topk))
-        for pos, i in enumerate(topk):
-            a, b, sw, h, out = per_expert[i]
-            de = g[pos] * scale * dldy
-            grads.w_down[i] += np.outer(h, de)
-            dh = de @ layer.experts[i].w_down.T
-            grads.w_up[i] += np.outer(x, dh * sw)
-            grads.w_gate[i] += np.outer(x, dh * a * swish_grad(b))
-            dgate_sel[pos] = scale * float(dldy @ out)
-        if res_cache is not None:
-            ra, rb, rsw, rh = res_cache
-            r = layer.residual_expert
-            ru, rg, rd = grads.residual
-            rd += np.outer(rh, dldy)
-            drh = dldy @ r.w_down.T
-            ru += np.outer(x, drh * rsw)
-            rg += np.outer(x, drh * ra * swish_grad(rb))
-
-        # softmax over the selected logits; selection is straight-through
-        dz = g * (dgate_sel - float(dgate_sel @ g))
-        for pos, i in enumerate(topk):
-            grads.gate_w_g[:, i] += x * dz[pos]
-
-        p = softmax(logits)
-        dense_probs.append(p)
-        routings.append(
-            TokenRouting(experts=topk, weights=tuple(float(w) for w in g))
-        )
-        token_cache.append((x, p))
-
-    imp_loss, load_loss = balance_loss(routings, dense_probs)
-    mse = mse_sum / batch
-    total = mse + balance_coeff * (imp_loss + load_loss)
-
+    probs = softmax(logits)
+    importance = probs.sum(axis=0)
+    counts = np.bincount(top.ravel(), minlength=n)
+    imp_loss, load_loss = cv_squared(importance), cv_squared(counts)
     if balance_coeff != 0.0:
         # CV^2 of per-expert summed dense probabilities; the per-expert
         # sums total `batch` exactly, so the mean is a constant batch/n.
-        importance = np.sum(dense_probs, axis=0)
         mu = batch / n
         q = balance_coeff * (2.0 / n) * (importance - mu) / mu**2
-        for x, p in token_cache:
-            dzp = p * (q - float(q @ p))
-            grads.gate_w_g += np.outer(x, dzp)
+        dz += probs * (q - (probs @ q)[:, None])
 
+    w_up, w_gate, w_down = (list(t) for t in zip(*expert_grads))
+    grads = LayerGrads(w_up, w_gate, w_down, gate_w_g=x.T @ dz, residual=residual)
+
+    total = mse + balance_coeff * (imp_loss + load_loss)
+    share = counts[counts > 0] / counts.sum()
     stats = {
         "mse": mse,
         "importance_loss": imp_loss,
         "load_loss": load_loss,
-        "routings": routings,
+        "experts": top,
+        "weights": g,
+        "counts": counts,
+        "routing_entropy": float(-(share * np.log(share)).sum()),
     }
     return total, grads, stats
 
 
 def _apply_sgd(layer: MoeLayer, grads: LayerGrads, lr: float) -> None:
-    for i, ex in enumerate(layer.experts):
-        ex.w_up -= lr * grads.w_up[i]
-        ex.w_gate -= lr * grads.w_gate[i]
-        ex.w_down -= lr * grads.w_down[i]
-    layer.gate.w_g -= lr * grads.gate_w_g
+    """In-place step on every trainable array."""
+    pairs = [(layer.gate.w_g, grads.gate_w_g)]
+    for ex, *ex_grads in zip(layer.experts, grads.w_up, grads.w_gate, grads.w_down):
+        pairs += zip((ex.w_up, ex.w_gate, ex.w_down), ex_grads)
     if grads.residual is not None:
         r = layer.residual_expert
-        r.w_up -= lr * grads.residual[0]
-        r.w_gate -= lr * grads.residual[1]
-        r.w_down -= lr * grads.residual[2]
+        pairs += zip((r.w_up, r.w_gate, r.w_down), grads.residual)
+    for w, g in pairs:
+        w -= lr * g
 
 
-def _routing_entropy(routings: list[TokenRouting], n: int) -> float:
-    counts = np.zeros(n)
-    for r in routings:
-        for i in r.experts:
-            counts[i] += 1
-    p = counts / counts.sum()
-    nz = p[p > 0]
-    return float(-(nz * np.log(nz)).sum())
-
-
-def distill_mse(layer: MoeLayer, teacher: DenseFfn, xs: list[np.ndarray]) -> float:
-    """Mean 0.5 * ||moe(x) - ffn(x)||^2 over the given inputs, noise off."""
-    from .moe import moe_forward
-
+def distill_mse(layer: MoeLayer, teacher: DenseFfn, xs) -> float:
+    """Mean 0.5 * ||moe(x) - ffn(x)||^2 over the given inputs (a list of
+    (d,) vectors or a (B, d) array), noise off. Rows go through in chunks
+    of EVAL_ROWS, so memory does not grow with the number of inputs."""
+    x = as_matrix(xs, cols=layer.d)
     total = 0.0
-    for x in xs:
-        y, _, _ = moe_forward(layer, x)
-        t, _ = ffn_forward(teacher, x)
-        total += 0.5 * float((y - t) @ (y - t))
-    return total / len(xs)
+    for chunk in np.split(x, range(EVAL_ROWS, len(x), EVAL_ROWS)):
+        y, _, _ = moe_forward(layer, chunk)
+        t, _ = ffn_forward(teacher, chunk)
+        total += 0.5 * float(np.einsum("bd,bd->", y - t, y - t))
+    return total / len(x)
 
 
 def train_distill(
     layer: MoeLayer,
     teacher: DenseFfn,
-    data: list[np.ndarray],
+    data,
     cfg: TrainConfig,
 ) -> TrainReport:
-    """SGD distillation of the teacher into the layer. The batch cursor
-    cycles through `data` in order, so runs are fully deterministic."""
+    """SGD distillation of the teacher into the layer. `data` is a list of
+    (d,) inputs or a (N, d) array; the batch cursor cycles through it in
+    order, so runs are fully deterministic."""
     if layer.d != teacher.d:
         raise ValueError("layer and teacher must share the model dimension d")
+    data = as_matrix(data, cols=teacher.d)
     report = TrainReport()
     cursor = 0
     for step in range(cfg.total_steps):
-        xs = [data[(cursor + j) % len(data)] for j in range(cfg.batch_size)]
+        xs = data[(cursor + np.arange(cfg.batch_size)) % len(data)]
         cursor = (cursor + cfg.batch_size) % len(data)
 
         loss, grads, stats = batch_loss_and_grads(
@@ -278,9 +231,7 @@ def train_distill(
         report.losses.append(loss)
         report.importance_losses.append(stats["importance_loss"])
         report.load_losses.append(stats["load_loss"])
-        report.routing_entropies.append(
-            _routing_entropy(stats["routings"], layer.n_experts)
-        )
+        report.routing_entropies.append(stats["routing_entropy"])
         report.lrs.append(lr)
         if not math.isfinite(loss):
             report.final_mse = float("nan")
@@ -293,27 +244,25 @@ def train_distill(
 
 
 def random_init_like(layer: MoeLayer, rng: Rng) -> MoeLayer:
-    """Fresh layer with identical shapes but gaussian expert weights."""
-    from .moe import ExpertFfn, GateNetwork
+    """Fresh layer with identical shapes, residual expert included, but
+    gaussian expert weights. Experts draw in order, then the residual."""
+    def fresh(ex: ExpertFfn) -> ExpertFfn:
+        w = DenseFfn.random(layer.d, ex.m, rng)
+        return ExpertFfn(w.w_up, w.w_gate, w.w_down, source_indices=ex.source_indices)
 
-    d = layer.d
-    experts = []
-    for ex in layer.experts:
-        m = ex.m
-        experts.append(
-            ExpertFfn(
-                w_up=rng.normal_array((d, m), 1.0 / np.sqrt(d)),
-                w_gate=rng.normal_array((d, m), 1.0 / np.sqrt(d)),
-                w_down=rng.normal_array((m, d), 1.0 / np.sqrt(m)),
-                source_indices=ex.source_indices,
-            )
-        )
+    experts = [fresh(ex) for ex in layer.experts]
+    residual = None if layer.residual_expert is None else fresh(layer.residual_expert)
     gate = GateNetwork(
         w_g=np.zeros_like(layer.gate.w_g),
         w_noise=np.zeros_like(layer.gate.w_noise),
         k=layer.gate.k,
     )
-    return MoeLayer(experts=experts, gate=gate, scale_factor=layer.scale_factor)
+    return MoeLayer(
+        experts=experts,
+        gate=gate,
+        scale_factor=layer.scale_factor,
+        residual_expert=residual,
+    )
 
 
 def compare_from_scratch(
@@ -326,12 +275,10 @@ def compare_from_scratch(
 ) -> tuple[TrainReport, TrainReport]:
     """Train a split-initialized layer and a randomly initialized layer of
     identical shape on the same data; returns (split_report, scratch_report)."""
-    from .moe import assemble_moe
-
     if k is None:
         k = partition.n
     count = num_samples if num_samples is not None else max(cfg.batch_size, 64)
-    data = [rng.normal_array((teacher.d,)) for _ in range(count)]
+    data = rng.normal_array((count, teacher.d))
 
     split_layer = assemble_moe(teacher, partition, k=k)
     scratch_layer = random_init_like(split_layer, rng)

@@ -202,6 +202,28 @@ class TestTrain:
         assert code == EXIT_DIVERGENCE
         assert os.path.exists(os.path.join(out, "train_report.csv"))
 
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"num_samples": 0},
+            {"lr_max": -1, "lr_final": -2},
+            {"batch_size": 0},
+            {"lr-max": 0.1},
+            {"total_steps": 2.5, "warmup_steps": 0},
+        ],
+    )
+    def test_bad_config_exits_data_error(self, teacher_file, tmp_path, overrides):
+        path, _ = teacher_file
+        layer_path = self.make_layer_file(teacher_file, tmp_path)
+        cfg_path = self.write_config(tmp_path, **overrides)
+        out = str(tmp_path / "outbad")
+        code = run(
+            ["train", "--layer", layer_path, "--teacher", path,
+             "--config", cfg_path, "--out", out]
+        )
+        assert code == EXIT_DATA
+        assert not os.path.exists(os.path.join(out, "layer_final.mft"))
+
     def test_missing_tensor_error(self, teacher_file, tmp_path):
         path, _ = teacher_file
         bad = str(tmp_path / "bad_layer.mft")

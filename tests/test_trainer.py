@@ -14,6 +14,7 @@ from moeforge.trainer import (
     compare_from_scratch,
     distill_mse,
     lr_at,
+    random_init_like,
     train_distill,
 )
 
@@ -85,6 +86,22 @@ class TestLrSchedule:
             TrainConfig(lr_max=1e-5, lr_final=1e-4)
         with pytest.raises(ValueError):
             TrainConfig(warmup_steps=10, total_steps=5)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            dict(batch_size=0),
+            dict(batch_size=-4),
+            dict(total_steps=0, warmup_steps=0),
+            dict(lr_max=-1.0, lr_final=-2.0),
+            dict(lr_max=1e-3, lr_final=-1e-4),
+            dict(batch_size=2.5),
+            dict(lr_max="0.1"),
+        ],
+    )
+    def test_rejected_config(self, kwargs):
+        with pytest.raises(ValueError):
+            TrainConfig(**kwargs)
 
 
 class TestGradients:
@@ -228,6 +245,24 @@ class TestCompareFromScratch:
             w = 50
             sm = np.convolve(rep.losses, np.ones(w) / w, mode="valid")
             assert sm[-1] <= sm[0]
+
+
+class TestRandomInitLike:
+    def test_keeps_residual_expert_shape(self):
+        rng = Rng(40)
+        teacher = DenseFfn.random(4, 12, rng)
+        base = np.abs(rng.normal_array((12,)))
+        vecs = [base + 0.01 * np.abs(rng.normal_array((12,))) for _ in range(3)]
+        part = split_sharing_inter(vecs, 4, residual_threshold=0.5)
+        split_layer = assemble_moe(teacher, part, k=1)
+        assert split_layer.residual_expert is not None
+        scratch = random_init_like(split_layer, Rng(41))
+        r, s = split_layer.residual_expert, scratch.residual_expert
+        assert s is not None
+        assert s.source_indices == r.source_indices
+        for a, b in ((s.w_up, r.w_up), (s.w_gate, r.w_gate), (s.w_down, r.w_down)):
+            assert a.shape == b.shape and not np.array_equal(a, b)
+        assert flatten_params(scratch)[-1].shape == flatten_params(split_layer)[-1].shape
 
 
 class TestDistillMse:
