@@ -27,7 +27,6 @@ from .moe import (
 from .partition import (
     ExpertPartition,
     PartitionMethod,
-    PartitionSpec,
     slice_expert,
     split_independent_clustering,
     split_independent_random,

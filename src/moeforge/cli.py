@@ -49,14 +49,30 @@ TRAIN_KEYS = {f.name for f in fields(TrainConfig)} | {"num_samples"}
 
 # ---------------------------------------------------------------- serialization
 
+def _tensor(tensors: dict[str, np.ndarray], name: str) -> np.ndarray:
+    if name not in tensors:
+        raise MftError(f"missing tensor {name!r}")
+    return tensors[name]
+
+
+def _swiglu_weights(tensors: dict[str, np.ndarray], prefix: str = "") -> dict:
+    """The `prefix`w_up/w_gate/w_down tensors, keyed as DenseFfn's fields."""
+    return {part: _tensor(tensors, prefix + part) for part in ("w_up", "w_gate", "w_down")}
+
+
+def _integers(tensors: dict[str, np.ndarray], name: str) -> tuple[int, ...]:
+    """A 1-D tensor of finite, integer-valued entries, as Python ints."""
+    v = _tensor(tensors, name)
+    if v.ndim != 1 or not np.all(np.isfinite(v) & (v == np.round(v))):
+        raise MftError(f"tensor {name!r} must be a 1-D run of finite integers")
+    return tuple(int(i) for i in v)
+
+
 def ffn_from_mft(path: str) -> DenseFfn:
-    tensors = read_mft(path)
-    for name in ("w_up", "w_gate", "w_down"):
-        if name not in tensors:
-            raise MftError(f"missing tensor {name!r} in {path}")
-    return DenseFfn(
-        w_up=tensors["w_up"], w_gate=tensors["w_gate"], w_down=tensors["w_down"]
-    )
+    try:
+        return DenseFfn(**_swiglu_weights(read_mft(path)))
+    except MftError as err:
+        raise MftError(f"{err} in {path}") from err
 
 
 def ffn_to_mft(path: str, ffn: DenseFfn) -> None:
@@ -85,39 +101,29 @@ def layer_to_tensors(layer: MoeLayer) -> dict[str, np.ndarray]:
     return tensors
 
 
+def _expert(tensors: dict[str, np.ndarray], prefix: str) -> ExpertFfn:
+    return ExpertFfn(
+        **_swiglu_weights(tensors, prefix),
+        source_indices=_integers(tensors, prefix + "indices"),
+    )
+
+
 def layer_from_tensors(tensors: dict[str, np.ndarray]) -> MoeLayer:
     n = 0
     while f"expert.{n}.w_up" in tensors:
         n += 1
     if n == 0:
         raise MftError("no expert tensors found")
-    for name in ("gate.w_g", "gate.w_noise", "gate.k"):
-        if name not in tensors:
-            raise MftError(f"missing tensor {name!r}")
-    experts = []
-    for i in range(n):
-        for part in ("w_up", "w_gate", "w_down", "indices"):
-            if f"expert.{i}.{part}" not in tensors:
-                raise MftError(f"missing tensor 'expert.{i}.{part}'")
-        experts.append(
-            ExpertFfn(
-                w_up=tensors[f"expert.{i}.w_up"],
-                w_gate=tensors[f"expert.{i}.w_gate"],
-                w_down=tensors[f"expert.{i}.w_down"],
-                source_indices=tuple(int(v) for v in tensors[f"expert.{i}.indices"]),
-            )
-        )
-    k = int(tensors["gate.k"][0])
-    gate = GateNetwork(w_g=tensors["gate.w_g"], w_noise=tensors["gate.w_noise"], k=k)
+    w_g, w_noise = _tensor(tensors, "gate.w_g"), _tensor(tensors, "gate.w_noise")
+    k = _integers(tensors, "gate.k")
+    if len(k) != 1:
+        raise MftError(f"tensor 'gate.k' must hold one value, got {len(k)}")
+    experts = [_expert(tensors, f"expert.{i}.") for i in range(n)]
+    gate = GateNetwork(w_g=w_g, w_noise=w_noise, k=k[0])
     residual = None
-    if "residual.w_up" in tensors:
-        residual = ExpertFfn(
-            w_up=tensors["residual.w_up"],
-            w_gate=tensors["residual.w_gate"],
-            w_down=tensors["residual.w_down"],
-            source_indices=tuple(int(v) for v in tensors["residual.indices"]),
-        )
-    return MoeLayer(experts=experts, gate=gate, scale_factor=n / k, residual_expert=residual)
+    if any(name.startswith("residual.") for name in tensors):
+        residual = _expert(tensors, "residual.")
+    return MoeLayer(experts=experts, gate=gate, scale_factor=n / k[0], residual_expert=residual)
 
 
 def write_layer(path: str, layer: MoeLayer) -> None:
@@ -333,6 +339,14 @@ def cmd_analyze(args) -> int:
 
 # ---------------------------------------------------------------- entry point
 
+def count(text: str) -> int:
+    """argparse type for a nonnegative integer."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be nonnegative, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="moeforge",
@@ -367,7 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
     hp = sub.add_parser("schedule", help="emit a domain-mixture schedule log")
     hp.add_argument("--preset", default="llama_v1")
     hp.add_argument("--mode", choices=["static", "dynamic"], default="static")
-    hp.add_argument("--draws", type=int, default=1000)
+    hp.add_argument("--draws", type=count, default=1000)
     hp.add_argument("--interval", type=int, default=100)
     hp.add_argument("--seed", type=int, default=0)
     hp.add_argument("--reference-loss", help="JSON {domain: loss}")

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dense_ffn import DenseFfn, ffn_forward, ffn_output_grad_to_h
+from .partition import kmeans
 from .tensor import Rng, ShapeError
 
 
@@ -59,30 +60,12 @@ def accumulate_importance(
 
 
 def group_data_by_clustering(
-    samples: list[np.ndarray], n: int, rng: Rng, max_iters: int = 100
+    samples: list[np.ndarray], n: int, rng: Rng
 ) -> list[list[int]]:
-    """Standard (unbalanced) k-means on the inputs; returns n index groups.
-
-    Seeded init picks n distinct samples as centroids. Empty clusters keep
-    their previous centroid.
-    """
-    if n > len(samples):
-        raise ValueError(f"cannot form {n} groups from {len(samples)} samples")
+    """Standard (unbalanced) k-means on the inputs, each sample joining its
+    nearest centroid; returns n index groups. See `partition.kmeans`."""
     pts = np.asarray(samples, dtype=np.float64)
-    idx = rng.shuffle(list(range(len(samples))))[:n]
-    centroids = pts[idx].copy()
-
-    assign = np.full(len(samples), -1, dtype=int)
-    for _ in range(max_iters):
-        dist = np.linalg.norm(pts[:, None, :] - centroids[None, :, :], axis=2)
-        new_assign = np.argmin(dist, axis=1)
-        if np.array_equal(new_assign, assign):
-            break
-        assign = new_assign
-        for c in range(n):
-            members = pts[assign == c]
-            if len(members):
-                centroids[c] = members.mean(axis=0)
+    assign = kmeans(pts, n, rng, lambda dist: np.argmin(dist, axis=1))
     return [[int(i) for i in np.flatnonzero(assign == c)] for c in range(n)]
 
 

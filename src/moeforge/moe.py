@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dense_ffn import DenseFfn, SwigluCache, swiglu_forward
-from .tensor import Rng, ShapeError, as_matrix, as_rows, softmax
+from .tensor import Rng, ShapeError, as_matrix, as_rows, softmax, top_k_indices
 
 
 def softplus(z: np.ndarray) -> np.ndarray:
@@ -81,13 +81,9 @@ class AuxLossTerms:
 
 
 def top_k(logits: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Each row's k largest logits: their indices in ascending order and the
-    softmax over them.
-
-    Ties go to the lower index: a stable sort of the negated logits keeps
-    equal entries in index order.
-    """
-    top = np.sort(np.argsort(-logits, axis=-1, kind="stable")[..., :k], axis=-1)
+    """Each row's k largest logits: their indices in ascending order (ties
+    to the lower index, see `top_k_indices`) and the softmax over them."""
+    top = top_k_indices(logits, k)
     return top, softmax(np.take_along_axis(logits, top, axis=-1))
 
 

@@ -12,12 +12,16 @@ Two families:
 from __future__ import annotations
 
 import enum
+import itertools
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .dense_ffn import DenseFfn
-from .tensor import Rng
+from .tensor import Rng, top_k_indices
+
+KMEANS_ITERS = 100
 
 
 class PartitionMethod(enum.Enum):
@@ -25,22 +29,6 @@ class PartitionMethod(enum.Enum):
     INDEPENDENT_CLUSTERING = "independent_clustering"
     SHARING_INNER = "sharing_inner"
     SHARING_INTER = "sharing_inter"
-
-
-@dataclass(frozen=True)
-class PartitionSpec:
-    """Configuration for a split: expert count n, expert size m, method."""
-
-    n: int
-    m: int
-    method: PartitionMethod
-    residual_threshold: float = 0.5
-
-    def __post_init__(self):
-        if self.n < 1 or self.m < 1:
-            raise ValueError("n and m must be at least 1")
-        if not (0.0 < self.residual_threshold <= 1.0):
-            raise ValueError("residual_threshold must lie in (0, 1]")
 
 
 @dataclass(frozen=True)
@@ -55,13 +43,9 @@ class ExpertPartition:
 
     def __post_init__(self):
         for s in self.sets:
-            if not s:
-                raise ValueError("expert index sets must be nonempty")
-            if any(not (0 <= i < self.d_h) for i in s):
-                raise ValueError("index out of range [0, d_h)")
-            if any(s[i] >= s[i + 1] for i in range(len(s) - 1)):
-                raise ValueError("index sets must be strictly increasing")
-        if any(not (0 <= i < self.d_h) for i in self.shared_residual):
+            _check_index_set(s, self.d_h)
+        r = np.asarray(self.shared_residual)
+        if r.size and (r.min() < 0 or r.max() >= self.d_h):
             raise ValueError("residual index out of range")
 
     @property
@@ -74,17 +58,23 @@ class ExpertPartition:
 
     def mean_pairwise_overlap(self) -> float:
         """Mean |S_i ∩ S_j| / m over expert pairs (sharing diagnostics)."""
-        n, m = self.n, self.m
-        if n < 2:
+        pairs = list(itertools.combinations(map(set, self.sets), 2))
+        if not pairs:
             return 0.0
-        total = 0.0
-        pairs = 0
-        for i in range(n):
-            si = set(self.sets[i])
-            for j in range(i + 1, n):
-                total += len(si & set(self.sets[j])) / m
-                pairs += 1
-        return total / pairs
+        return sum(len(a & b) / self.m for a, b in pairs) / len(pairs)
+
+
+def _check_index_set(s, d_h: int) -> np.ndarray:
+    """`s` as an array, or ValueError unless it is a nonempty, strictly
+    increasing run of indices in [0, d_h)."""
+    idx = np.asarray(s)
+    if idx.ndim != 1 or idx.size == 0:
+        raise ValueError("expert index set must be a nonempty vector")
+    if np.any(np.diff(idx) <= 0):
+        raise ValueError("expert index set must be strictly increasing")
+    if idx.min() < 0 or idx.max() >= d_h:
+        raise ValueError(f"index out of range [0, {d_h})")
+    return idx
 
 
 def _check_divides(d_h: int, n: int) -> int:
@@ -101,61 +91,75 @@ def split_independent_random(d_h: int, n: int, rng: Rng) -> ExpertPartition:
     return ExpertPartition(sets=sets, d_h=d_h, method=PartitionMethod.INDEPENDENT_RANDOM)
 
 
-def split_independent_clustering(
-    ffn: DenseFfn, n: int, rng: Rng, max_iters: int = 100
-) -> ExpertPartition:
-    """Balanced k-means over per-neuron W_up vectors, exactly m per cluster.
+def kmeans(
+    points: np.ndarray, n: int, rng: Rng, assign: Callable[[np.ndarray], np.ndarray]
+) -> np.ndarray:
+    """Lloyd's k-means over the rows of `points`; returns each row's cluster.
 
-    Assignment is greedy by ascending margin (distance to a centroid minus
-    that point's mean distance over all centroids) with per-cluster capacity
-    m; the most clear-cut point/cluster pairs claim their slots first.
+    Centroids start at n distinct rows picked by a seeded shuffle. `assign`
+    maps the (rows, n) Euclidean distances, taken in Gram form so no
+    (rows, n, d) temporary is built, to a cluster per row; each centroid
+    then moves to the mean of its rows, and one left empty stays put. Stops
+    when the assignment repeats, or after KMEANS_ITERS steps.
     """
-    m = _check_divides(ffn.d_h, n)
-    if max_iters < 1:
-        raise ValueError("max_iters must be at least 1")
-    points = ffn.w_up.T.copy()  # one d-dim vector per intermediate neuron
-    d_h = ffn.d_h
+    rows = len(points)
+    if n > rows:
+        raise ValueError(f"cannot form {n} groups from {rows} samples")
+    centroids = points[rng.shuffle(list(range(rows)))[:n]].copy()
+    p_sq = np.einsum("ij,ij->i", points, points)[:, None]
 
-    # seed centroids from n distinct neurons
-    idx = rng.shuffle(list(range(d_h)))[:n]
-    centroids = points[idx].copy()
-
-    assign = np.full(d_h, -1, dtype=int)
-    for _ in range(max_iters):
-        dist = np.linalg.norm(points[:, None, :] - centroids[None, :, :], axis=2)
-        margin = dist - dist.mean(axis=1, keepdims=True)
-        order = np.argsort(margin, axis=None, kind="stable")
-        new_assign = np.full(d_h, -1, dtype=int)
-        capacity = np.full(n, m, dtype=int)
-        placed = 0
-        for flat in order:
-            p, c = divmod(int(flat), n)
-            if new_assign[p] == -1 and capacity[c] > 0:
-                new_assign[p] = c
-                capacity[c] -= 1
-                placed += 1
-                if placed == d_h:
-                    break
-        if np.array_equal(new_assign, assign):
+    labels = np.full(rows, -1, dtype=int)
+    for _ in range(KMEANS_ITERS):
+        c_sq = np.einsum("ij,ij->i", centroids, centroids)
+        dist = np.sqrt(np.maximum(p_sq - 2.0 * (points @ centroids.T) + c_sq, 0.0))
+        new_labels = assign(dist)
+        if np.array_equal(new_labels, labels):
             break
-        assign = new_assign
+        labels = new_labels
         for c in range(n):
-            centroids[c] = points[assign == c].mean(axis=0)
+            members = points[labels == c]
+            if len(members):
+                centroids[c] = members.mean(axis=0)
+    return labels
 
+
+def _balanced_assign(dist: np.ndarray, m: int) -> np.ndarray:
+    """Greedy capacity-m assignment by ascending margin (distance to a
+    centroid minus that point's mean distance over all centroids): the most
+    clear-cut point/cluster pairs claim their slots first."""
+    rows, n = dist.shape
+    margin = dist - dist.mean(axis=1, keepdims=True)
+    order = np.argsort(margin, axis=None, kind="stable")
+    new_assign = np.full(rows, -1, dtype=int)
+    capacity = np.full(n, m, dtype=int)
+    placed = 0
+    for flat in order:
+        p, c = divmod(int(flat), n)
+        if new_assign[p] == -1 and capacity[c] > 0:
+            new_assign[p] = c
+            capacity[c] -= 1
+            placed += 1
+            if placed == rows:
+                break
+    return new_assign
+
+
+def split_independent_clustering(ffn: DenseFfn, n: int, rng: Rng) -> ExpertPartition:
+    """Balanced k-means over per-neuron W_up vectors (the columns of W_up),
+    exactly m per cluster."""
+    m = _check_divides(ffn.d_h, n)
+    assign = kmeans(ffn.w_up.T.copy(), n, rng, lambda dist: _balanced_assign(dist, m))
     sets = tuple(tuple(int(i) for i in np.flatnonzero(assign == c)) for c in range(n))
-    return ExpertPartition(sets=sets, d_h=d_h, method=PartitionMethod.INDEPENDENT_CLUSTERING)
+    return ExpertPartition(sets=sets, d_h=ffn.d_h, method=PartitionMethod.INDEPENDENT_CLUSTERING)
 
 
-def _top_m(values: np.ndarray, m: int, exclude: set[int] | None = None) -> list[int]:
-    """Indices of the m largest entries; ties break toward the lower index."""
-    banned = exclude or set()
-    order = sorted(
-        (i for i in range(len(values)) if i not in banned),
-        key=lambda i: (-values[i], i),
-    )
-    if len(order) < m:
-        raise ValueError(f"only {len(order)} candidates available, need {m}")
-    return sorted(order[:m])
+def _top_m(values: np.ndarray, m: int, exclude: tuple[int, ...] = ()) -> tuple[int, ...]:
+    """Indices of the m largest entries outside `exclude`, ascending; ties
+    break toward the lower index."""
+    candidates = np.setdiff1d(np.arange(len(values)), exclude)
+    if len(candidates) < m:
+        raise ValueError(f"only {len(candidates)} candidates available, need {m}")
+    return tuple(candidates[top_k_indices(values[candidates], m)].tolist())
 
 
 def split_sharing_inner(importance: list[np.ndarray], m: int) -> ExpertPartition:
@@ -166,7 +170,7 @@ def split_sharing_inner(importance: list[np.ndarray], m: int) -> ExpertPartition
         raise ValueError("importance vectors must share length d_h")
     if m > d_h:
         raise ValueError(f"expert size {m} exceeds d_h={d_h}")
-    sets = tuple(tuple(_top_m(v, m)) for v in vecs)
+    sets = tuple(_top_m(v, m) for v in vecs)
     return ExpertPartition(sets=sets, d_h=d_h, method=PartitionMethod.SHARING_INNER)
 
 
@@ -182,15 +186,11 @@ def split_sharing_inter(
     n, d_h = provisional.n, provisional.d_h
     need = int(np.ceil(residual_threshold * n))
 
-    membership = np.zeros(d_h, dtype=int)
-    for s in provisional.sets:
-        for i in s:
-            membership[i] += 1
+    membership = np.bincount(np.concatenate(provisional.sets), minlength=d_h)
     residual = tuple(int(i) for i in np.flatnonzero(membership >= need))
 
-    banned = set(residual)
     vecs = [np.asarray(v, dtype=np.float64) for v in importance]
-    sets = tuple(tuple(_top_m(v, m, exclude=banned)) for v in vecs)
+    sets = tuple(_top_m(v, m, exclude=residual) for v in vecs)
     return ExpertPartition(
         sets=sets,
         d_h=d_h,
@@ -204,17 +204,10 @@ def slice_expert(ffn: DenseFfn, s) -> "ExpertFfn":
     of W_down, in index order."""
     from .moe import ExpertFfn  # sliced experts live with the MoE layer
 
-    idx = list(s)
-    if not idx:
-        raise ValueError("expert index set must be nonempty")
-    if any(idx[i] >= idx[i + 1] for i in range(len(idx) - 1)):
-        raise ValueError("expert index set must be strictly increasing")
-    if idx[0] < 0 or idx[-1] >= ffn.d_h:
-        raise ValueError(f"index out of range [0, {ffn.d_h})")
-    cols = np.asarray(idx, dtype=int)
+    cols = _check_index_set(s, ffn.d_h).astype(int)
     return ExpertFfn(
         w_up=ffn.w_up[:, cols].copy(),
         w_gate=ffn.w_gate[:, cols].copy(),
         w_down=ffn.w_down[cols, :].copy(),
-        source_indices=tuple(int(i) for i in idx),
+        source_indices=tuple(cols.tolist()),
     )

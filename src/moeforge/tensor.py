@@ -18,6 +18,7 @@ __all__ = [
     "sigmoid",
     "swish",
     "softmax",
+    "top_k_indices",
     "Rng",
 ]
 
@@ -95,6 +96,13 @@ def softmax(logits: np.ndarray) -> np.ndarray:
         raise ValueError("softmax with all entries masked")
     e = np.exp(z - m)
     return e / e.sum(axis=-1, keepdims=True)
+
+
+def top_k_indices(values: np.ndarray, k: int) -> np.ndarray:
+    """Indices of the k largest entries along the last axis, in ascending
+    order. Ties go to the lower index: a stable sort of the negated values
+    keeps equal entries in index order."""
+    return np.sort(np.argsort(-values, axis=-1, kind="stable")[..., :k], axis=-1)
 
 
 def _splitmix64(x: int) -> tuple[int, int]:

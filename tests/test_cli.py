@@ -8,7 +8,9 @@ from moeforge.cli import (
     EXIT_DATA,
     EXIT_DIVERGENCE,
     EXIT_OK,
+    EXIT_USAGE,
     ffn_to_mft,
+    layer_to_tensors,
     main,
     partition_from_json,
     read_layer,
@@ -17,7 +19,7 @@ from moeforge.cli import (
 from moeforge.dense_ffn import DenseFfn, ffn_forward
 from moeforge.mft import read_mft, write_mft
 from moeforge.moe import assemble_moe, moe_forward
-from moeforge.partition import split_independent_random
+from moeforge.partition import split_independent_random, split_sharing_inter
 from moeforge.tensor import Rng
 
 
@@ -285,6 +287,73 @@ class TestSchedule:
         lines = open(out).read().splitlines()
         weight_cols = {line.split(",", 2)[2] for line in lines[1:]}
         assert len(weight_cols) == 2  # reweighted after the first interval
+
+    def test_negative_draws_usage_error(self, tmp_path):
+        out = str(tmp_path / "neg.csv")
+        with pytest.raises(SystemExit) as exc:
+            run(["schedule", "--draws", "-1", "--out", out])
+        assert exc.value.code == EXIT_USAGE
+        assert not os.path.exists(out)
+
+
+class TestLayerFile:
+    """A malformed layer file fed to `train` exits 3 with a message."""
+
+    def tensors(self, ffn):
+        # expert top-8 sets 0..7 and 4..11 share 4..7, the residual block
+        first = np.arange(16.0)[::-1]
+        part = split_sharing_inter([first, np.roll(first, 4)], 8, residual_threshold=1.0)
+        return layer_to_tensors(assemble_moe(ffn, part, k=1))
+
+    def train(self, teacher_file, tmp_path, tensors):
+        path, _ = teacher_file
+        layer_path = str(tmp_path / "layer.mft")
+        write_mft(layer_path, tensors)
+        cfg_path = str(tmp_path / "cfg.json")
+        with open(cfg_path, "w") as f:
+            json.dump({"total_steps": 2, "warmup_steps": 0, "batch_size": 4, "num_samples": 8}, f)
+        out = str(tmp_path / "out")
+        code = run(["train", "--layer", layer_path, "--teacher", path,
+                    "--config", cfg_path, "--out", out])
+        assert os.path.exists(os.path.join(out, "layer_final.mft")) == (code == EXIT_OK)
+        return code
+
+    def test_valid_file_trains(self, teacher_file, tmp_path):
+        tensors = self.tensors(teacher_file[1])
+        assert tensors["residual.indices"].tolist() == [4, 5, 6, 7]
+        assert self.train(teacher_file, tmp_path, tensors) == EXIT_OK
+
+    @pytest.mark.parametrize(
+        "name,value",
+        [
+            ("gate.k", np.array([np.inf])),
+            ("gate.k", np.array([])),
+            ("gate.k", np.array([2.7])),
+            ("gate.k", np.array([1.0, 1.0])),
+            ("gate.k", np.array([[1.0]])),
+            ("expert.0.indices", np.array([0.0, np.inf])),
+            ("expert.0.indices", np.array([0.5, 1.0])),
+            ("expert.0.indices", np.array([np.nan, 1.0])),
+            ("expert.0.indices", np.array([[0.0, 1.0]])),
+            ("residual.indices", np.array([0.25])),
+        ],
+    )
+    def test_bad_integer_tensor(self, teacher_file, tmp_path, capsys, name, value):
+        tensors = self.tensors(teacher_file[1])
+        tensors[name] = value
+        assert self.train(teacher_file, tmp_path, tensors) == EXIT_DATA
+        assert name in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "name", ["residual.w_gate", "residual.indices", "expert.1.w_down"]
+    )
+    def test_partial_expert_names_missing_tensor(
+        self, teacher_file, tmp_path, capsys, name
+    ):
+        tensors = self.tensors(teacher_file[1])
+        del tensors[name]
+        assert self.train(teacher_file, tmp_path, tensors) == EXIT_DATA
+        assert f"missing tensor {name!r}" in capsys.readouterr().err
 
 
 class TestAnalyze:
