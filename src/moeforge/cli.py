@@ -101,14 +101,27 @@ def layer_to_tensors(layer: MoeLayer) -> dict[str, np.ndarray]:
     return tensors
 
 
-def _expert(tensors: dict[str, np.ndarray], prefix: str) -> ExpertFfn:
-    return ExpertFfn(
-        **_swiglu_weights(tensors, prefix),
-        source_indices=_integers(tensors, prefix + "indices"),
-    )
+def _expert(
+    tensors: dict[str, np.ndarray], prefix: str, teacher_d_h: int | None
+) -> ExpertFfn:
+    """The expert under `prefix`. Its indices name one teacher neuron per
+    column of its w_up, strictly increasing, in [0, teacher_d_h) when the
+    teacher is known."""
+    name = prefix + "indices"
+    ex = ExpertFfn(**_swiglu_weights(tensors, prefix), source_indices=_integers(tensors, name))
+    idx = ex.source_indices
+    if len(idx) != ex.d_h:
+        raise MftError(f"tensor {name!r} holds {len(idx)} indices for {ex.d_h} neurons")
+    if idx[0] < 0 or any(b <= a for a, b in zip(idx, idx[1:])):
+        raise MftError(f"tensor {name!r} must be strictly increasing and nonnegative")
+    if teacher_d_h is not None and idx[-1] >= teacher_d_h:
+        raise MftError(f"tensor {name!r} has index {idx[-1]} >= the teacher's d_h={teacher_d_h}")
+    return ex
 
 
-def layer_from_tensors(tensors: dict[str, np.ndarray]) -> MoeLayer:
+def layer_from_tensors(
+    tensors: dict[str, np.ndarray], teacher_d_h: int | None = None
+) -> MoeLayer:
     n = 0
     while f"expert.{n}.w_up" in tensors:
         n += 1
@@ -118,11 +131,11 @@ def layer_from_tensors(tensors: dict[str, np.ndarray]) -> MoeLayer:
     k = _integers(tensors, "gate.k")
     if len(k) != 1:
         raise MftError(f"tensor 'gate.k' must hold one value, got {len(k)}")
-    experts = [_expert(tensors, f"expert.{i}.") for i in range(n)]
+    experts = [_expert(tensors, f"expert.{i}.", teacher_d_h) for i in range(n)]
     gate = GateNetwork(w_g=w_g, w_noise=w_noise, k=k[0])
     residual = None
     if any(name.startswith("residual.") for name in tensors):
-        residual = _expert(tensors, "residual.")
+        residual = _expert(tensors, "residual.", teacher_d_h)
     return MoeLayer(experts=experts, gate=gate, scale_factor=n / k[0], residual_expert=residual)
 
 
@@ -130,8 +143,8 @@ def write_layer(path: str, layer: MoeLayer) -> None:
     write_mft(path, layer_to_tensors(layer))
 
 
-def read_layer(path: str) -> MoeLayer:
-    return layer_from_tensors(read_mft(path))
+def read_layer(path: str, teacher_d_h: int | None = None) -> MoeLayer:
+    return layer_from_tensors(read_mft(path), teacher_d_h)
 
 
 def partition_to_json(p: ExpertPartition) -> str:
@@ -208,8 +221,8 @@ def cmd_split(args) -> int:
 
 
 def cmd_train(args) -> int:
-    layer = read_layer(args.layer)
     teacher = ffn_from_mft(args.teacher)
+    layer = read_layer(args.layer, teacher.d_h)
     with open(args.config) as f:
         doc = json.load(f)
     if not isinstance(doc, dict):

@@ -14,6 +14,8 @@ Round-trips are lossless for finite float64 payloads; names must be unique.
 
 from __future__ import annotations
 
+import math
+import os
 import struct
 
 import numpy as np
@@ -26,6 +28,8 @@ class MftError(ValueError):
 
 
 def write_mft(path: str, tensors: dict[str, np.ndarray]) -> None:
+    """Write `tensors` in order; a C-contiguous little-endian float64 array
+    goes to the file straight from its own buffer."""
     names = list(tensors.keys())
     if len(set(names)) != len(names):
         raise MftError("tensor names must be unique")
@@ -33,51 +37,50 @@ def write_mft(path: str, tensors: dict[str, np.ndarray]) -> None:
         f.write(MAGIC)
         f.write(struct.pack("<I", len(names)))
         for name in names:
-            arr = np.ascontiguousarray(tensors[name], dtype=np.float64)
+            arr = np.ascontiguousarray(tensors[name], dtype="<f8")
             nb = name.encode("utf-8")
-            f.write(struct.pack("<I", len(nb)))
-            f.write(nb)
-            f.write(struct.pack("<I", arr.ndim))
-            for dim in arr.shape:
-                f.write(struct.pack("<Q", dim))
-            f.write(arr.astype("<f8").tobytes(order="C"))
+            f.write(struct.pack(f"<I{len(nb)}sI{arr.ndim}Q", len(nb), nb, arr.ndim, *arr.shape))
+            f.write(arr)
 
 
 def read_mft(path: str) -> dict[str, np.ndarray]:
+    """Read every tensor, each payload straight into its own array. Sizes
+    from the header are checked against the bytes left in the file before
+    anything is allocated; any malformed file raises MftError."""
     with open(path, "rb") as f:
-        data = f.read()
-    if data[:4] != MAGIC:
-        raise MftError(f"bad magic {data[:4]!r}, expected {MAGIC!r}")
-    off = 4
+        size = os.fstat(f.fileno()).st_size
+        magic = f.read(4)
+        if magic != MAGIC:
+            raise MftError(f"bad magic {magic!r}, expected {MAGIC!r}")
 
-    def take(fmt: str):
-        nonlocal off
-        size = struct.calcsize(fmt)
-        if off + size > len(data):
-            raise MftError("truncated file")
-        vals = struct.unpack_from(fmt, data, off)
-        off += size
-        return vals
+        def take(nbytes: int, what: str) -> bytes:
+            if nbytes > size - f.tell():
+                raise MftError(f"truncated {what}")
+            return f.read(nbytes)
 
-    (count,) = take("<I")
-    tensors: dict[str, np.ndarray] = {}
-    for _ in range(count):
-        (name_len,) = take("<I")
-        if off + name_len > len(data):
-            raise MftError("truncated name")
-        name = data[off:off + name_len].decode("utf-8")
-        off += name_len
-        if name in tensors:
-            raise MftError(f"duplicate tensor name {name!r}")
-        (rank,) = take("<I")
-        dims = [take("<Q")[0] for _ in range(rank)]
-        n = int(np.prod(dims)) if dims else 1
-        payload = n * 8
-        if off + payload > len(data):
-            raise MftError(f"truncated payload for {name!r}")
-        arr = np.frombuffer(data, dtype="<f8", count=n, offset=off).reshape(dims)
-        off += payload
-        tensors[name] = arr.astype(np.float64).copy()
-    if off != len(data):
-        raise MftError(f"{len(data) - off} trailing bytes")
+        (count,) = struct.unpack("<I", take(4, "file"))
+        tensors: dict[str, np.ndarray] = {}
+        for _ in range(count):
+            (name_len,) = struct.unpack("<I", take(4, "file"))
+            try:
+                name = take(name_len, "name").decode("utf-8")
+            except UnicodeDecodeError as err:
+                raise MftError(f"tensor name is not UTF-8: {err}") from err
+            if name in tensors:
+                raise MftError(f"duplicate tensor name {name!r}")
+            (rank,) = struct.unpack("<I", take(4, "file"))
+            dims = struct.unpack(f"<{rank}Q", take(8 * rank, "file"))
+            payload = math.prod(dims) * 8
+            if payload > size - f.tell():
+                raise MftError(f"truncated payload for {name!r}")
+            try:
+                arr = np.empty(dims, dtype="<f8")
+            except ValueError as err:
+                raise MftError(f"bad dims {list(dims)} for {name!r}: {err}") from err
+            if f.readinto(arr) != payload:
+                raise MftError(f"truncated payload for {name!r}")
+            tensors[name] = arr.astype(np.float64, copy=False)
+        trailing = size - f.tell()
+    if trailing:
+        raise MftError(f"{trailing} trailing bytes")
     return tensors

@@ -130,18 +130,17 @@ def _balanced_assign(dist: np.ndarray, m: int) -> np.ndarray:
     rows, n = dist.shape
     margin = dist - dist.mean(axis=1, keepdims=True)
     order = np.argsort(margin, axis=None, kind="stable")
-    new_assign = np.full(rows, -1, dtype=int)
-    capacity = np.full(n, m, dtype=int)
+    new_assign = [-1] * rows
+    capacity = [m] * n
     placed = 0
-    for flat in order:
-        p, c = divmod(int(flat), n)
+    for p, c in zip((order // n).tolist(), (order % n).tolist()):
         if new_assign[p] == -1 and capacity[c] > 0:
             new_assign[p] = c
             capacity[c] -= 1
             placed += 1
             if placed == rows:
                 break
-    return new_assign
+    return np.array(new_assign)
 
 
 def split_independent_clustering(ffn: DenseFfn, n: int, rng: Rng) -> ExpertPartition:

@@ -8,6 +8,8 @@ need (masked softmax, branch-safe sigmoid).
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 __all__ = [
@@ -23,6 +25,11 @@ __all__ = [
 ]
 
 _MASK64 = (1 << 64) - 1
+_XS_MUL = 0x2545F4914F6CDD1D
+# Block normal stream: up to _BLOCK draws at a time, from up to _LANES
+# contiguous runs of the xorshift64* stream stepped together.
+_BLOCK = 1 << 16
+_LANES = 256
 
 
 class ShapeError(ValueError):
@@ -105,6 +112,42 @@ def top_k_indices(values: np.ndarray, k: int) -> np.ndarray:
     return np.sort(np.argsort(-values, axis=-1, kind="stable")[..., :k], axis=-1)
 
 
+def _box_muller(u1, u2):
+    """The (cos, sin) normal pair of Box-Muller for uniforms u1 in (0, 1)
+    and u2 in [0, 1); scalars or arrays alike."""
+    r = np.sqrt(-2.0 * np.log(u1))
+    theta = 2.0 * np.pi * u2
+    return r * np.cos(theta), r * np.sin(theta)
+
+
+def _xorshift(x: np.ndarray) -> np.ndarray:
+    """One xorshift (12, 25, 27) step of each uint64 state, in place."""
+    x ^= x >> 12
+    x ^= x << 25
+    x ^= x >> 27
+    return x
+
+
+def _apply_gf2(cols: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The GF(2)-linear map whose image of bit i is cols[i], applied to each
+    uint64 in x."""
+    bits = (x[:, None] >> np.arange(64, dtype=np.uint64)) & np.uint64(1)
+    return np.bitwise_xor.reduce(bits * cols, axis=1)
+
+
+@functools.cache
+def _jump_cols(k: int) -> np.ndarray:
+    """Columns of the xorshift step raised to the power 2**k: the step is
+    linear over GF(2), so this map jumps a state 2**k draws ahead."""
+    if k == 0:
+        cols = _xorshift(np.uint64(1) << np.arange(64, dtype=np.uint64))
+    else:
+        half = _jump_cols(k - 1)
+        cols = _apply_gf2(half, half)
+    cols.setflags(write=False)  # cached and shared by every Rng
+    return cols
+
+
 def _splitmix64(x: int) -> tuple[int, int]:
     """One splitmix64 step: returns (new_state, output)."""
     x = (x + 0x9E3779B97F4A7C15) & _MASK64
@@ -135,7 +178,7 @@ class Rng:
         x = (x ^ (x << 25)) & _MASK64
         x ^= x >> 27
         self._state = x
-        return (x * 0x2545F4914F6CDD1D) & _MASK64
+        return (x * _XS_MUL) & _MASK64
 
     def next_float(self) -> float:
         """Uniform in [0, 1) with 53 random bits."""
@@ -149,10 +192,9 @@ class Rng:
         u1 = self.next_float()
         while u1 == 0.0:
             u1 = self.next_float()
-        u2 = self.next_float()
-        r = np.sqrt(-2.0 * np.log(u1))
-        self._spare_normal = float(r * np.sin(2.0 * np.pi * u2))
-        return float(r * np.cos(2.0 * np.pi * u2))
+        z, spare = _box_muller(u1, self.next_float())
+        self._spare_normal = float(spare)
+        return float(z)
 
     def next_below(self, n: int) -> int:
         """Uniform integer in [0, n) by rejection (no modulo bias)."""
@@ -172,11 +214,70 @@ class Rng:
         return items
 
     def normal_array(self, shape, scale: float = 1.0) -> np.ndarray:
-        """Consecutive next_normal() draws in C order, times `scale`. Filled
-        in place, so no per-draw Python list outlives the call."""
+        """Consecutive next_normal() draws in C order, times `scale`.
+
+        The values and the generator state left behind, spare normal
+        included, are bit-identical to drawing one next_normal() at a time;
+        the stream is generated and transformed in blocks of numpy arrays.
+        """
         n = int(np.prod(shape))
-        draws = (self.next_normal() for _ in range(n))
-        return np.fromiter(draws, np.float64, count=n).reshape(shape) * scale
+        out = np.empty(n)
+        done = 0
+        if n and self._spare_normal is not None:
+            out[0], self._spare_normal = self._spare_normal, None
+            done = 1
+        while done < n:
+            count = min(n - done, _BLOCK)
+            if count == 1:  # the last value opens a pair; its sin half is the spare
+                pair = np.empty(2)
+                self._fill_pairs(pair)
+                out[done], self._spare_normal = pair[0], float(pair[1])
+                break
+            count -= count % 2
+            self._fill_pairs(out[done:done + count])
+            done += count
+        out *= scale
+        return out.reshape(shape)
+
+    def _fill_pairs(self, out: np.ndarray) -> None:
+        """Fill `out` (even length, no spare pending) with Box-Muller pairs
+        from the next len(out) draws of the stream."""
+        start = self._state
+        u = (self._u64_block(len(out)) >> 11).astype(np.float64)
+        u *= 1.0 / (1 << 53)
+        u1, u2 = u[0::2], u[1::2]
+        if u1.all():
+            out[0::2], out[1::2] = _box_muller(u1, u2)
+            return
+        # next_normal redraws a zero u1, which shifts every later pair
+        self._state = start
+        for i in range(len(out)):
+            out[i] = self.next_normal()
+
+    def _u64_block(self, count: int) -> np.ndarray:
+        """The next `count` next_u64() outputs as uint64, advancing the state.
+
+        The stream is cut into `lanes` contiguous runs of `steps` draws. Each
+        run's start state comes from jump-ahead maps of the xorshift step,
+        and then all runs step together.
+        """
+        steps = 1 << (-(-count // _LANES) - 1).bit_length()
+        lanes = -(-count // steps)
+        states = np.array([self._state], dtype=np.uint64)
+        k = steps.bit_length() - 1
+        while len(states) < lanes:
+            states = np.concatenate([states, _apply_gf2(_jump_cols(k), states)])
+            k += 1
+        states = states[:lanes]
+        out = np.empty((lanes, steps), dtype=np.uint64)
+        last_lane, last_step = divmod(count - 1, steps)
+        mul = np.uint64(_XS_MUL)
+        for t in range(steps):
+            _xorshift(states)
+            np.multiply(states, mul, out=out[:, t])
+            if t == last_step:
+                self._state = int(states[last_lane])
+        return out.reshape(-1)[:count]
 
     def choice_weighted(self, weights: np.ndarray) -> int:
         """Index drawn with probability proportional to `weights` (sum ~ 1)."""

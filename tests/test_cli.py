@@ -345,6 +345,29 @@ class TestLayerFile:
         assert name in capsys.readouterr().err
 
     @pytest.mark.parametrize(
+        "name,value",
+        [
+            ("expert.0.indices", [-5, 1, 2, 3, 8, 9, 10, 11]),
+            ("expert.0.indices", [1, 2]),
+            ("expert.0.indices", [0, 1, 2, 3, 8, 9, 10, 11, 12]),
+            ("expert.0.indices", [0, 1, 2, 3, 9, 8, 10, 11]),
+            ("expert.0.indices", [0, 1, 2, 3, 8, 8, 10, 11]),
+            ("expert.1.indices", [8, 9, 10, 11, 12, 13, 14, 16]),
+            ("residual.indices", [4, 5, 6]),
+            ("residual.indices", [-1, 5, 6, 7]),
+            ("residual.indices", [4, 5, 6, 99]),
+        ],
+    )
+    def test_indices_must_fit_expert_and_teacher(
+        self, teacher_file, tmp_path, capsys, name, value
+    ):
+        # experts are 8 neurons wide, the residual 4, the teacher's d_h is 16
+        tensors = self.tensors(teacher_file[1])
+        tensors[name] = np.array(value, dtype=np.float64)
+        assert self.train(teacher_file, tmp_path, tensors) == EXIT_DATA
+        assert name in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
         "name", ["residual.w_gate", "residual.indices", "expert.1.w_down"]
     )
     def test_partial_expert_names_missing_tensor(

@@ -1,3 +1,6 @@
+import struct
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -67,3 +70,67 @@ class TestErrors:
             f.write(b"junk")
         with pytest.raises(MftError):
             read_mft(path)
+
+
+def header(name: bytes, dims) -> bytes:
+    """An MFT header for one tensor, without its payload."""
+    return (b"MFT1" + struct.pack("<II", 1, len(name)) + name
+            + struct.pack(f"<I{len(dims)}Q", len(dims), *dims))
+
+
+class TestHeaderDims:
+    def test_dims_product_beyond_int64(self, tmp_path):
+        # 2**62 * 4 wraps to 0 in uint64 arithmetic
+        path = str(tmp_path / "huge.mft")
+        with open(path, "wb") as f:
+            f.write(header(b"w_up", (2**62, 4)) + b"\x00" * 64)
+        with pytest.raises(MftError, match="truncated payload for 'w_up'"):
+            read_mft(path)
+
+    def test_rank_beyond_file(self, tmp_path):
+        path = str(tmp_path / "rank.mft")
+        with open(path, "wb") as f:
+            f.write(b"MFT1" + struct.pack("<II", 1, 1) + b"x" + struct.pack("<I", 2**32 - 1))
+        with pytest.raises(MftError, match="truncated file"):
+            read_mft(path)
+
+    def test_zero_size_with_huge_dim(self, tmp_path):
+        path = str(tmp_path / "zero.mft")
+        with open(path, "wb") as f:
+            f.write(header(b"v", (0, 2**63)))
+        with pytest.raises(MftError, match="'v'"):
+            read_mft(path)
+
+    def test_name_not_utf8(self, tmp_path):
+        path = str(tmp_path / "name.mft")
+        with open(path, "wb") as f:
+            f.write(header(b"\xff\xfe", (1,)) + b"\x00" * 8)
+        with pytest.raises(MftError, match="UTF-8"):
+            read_mft(path)
+
+
+def peak_traced_bytes(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestMemory:
+    TENSORS = {"w_up": (256, 2048), "w_gate": (256, 2048), "bias": (7,)}
+
+    def tensors(self):
+        return {name: np.full(shape, 0.5) for name, shape in self.TENSORS.items()}
+
+    def test_read_holds_only_the_payload(self, tmp_path):
+        path = str(tmp_path / "m.mft")
+        tensors = self.tensors()
+        write_mft(path, tensors)
+        payload = sum(t.nbytes for t in tensors.values())
+        assert peak_traced_bytes(read_mft, path) <= payload + 1e6
+
+    def test_write_copies_nothing(self, tmp_path):
+        tensors = self.tensors()
+        assert peak_traced_bytes(write_mft, str(tmp_path / "m.mft"), tensors) <= 1e6
