@@ -34,9 +34,11 @@ from .partition import (
     split_sharing_inter,
 )
 from .routing import (
+    RoutingColumns,
     RoutingRecord,
     RoutingStats,
     collect_routing,
+    count_routing,
     dead_expert_report,
     routing_l2_matrix,
 )
@@ -47,6 +49,7 @@ from .sampler import (
     apply_filter_mask,
     dynamic_update,
     next_domain,
+    schedule_log,
 )
 from .tensor import Rng, matmul, softmax, swish
 from .trainer import (

@@ -26,15 +26,13 @@ from .partition import (
     split_sharing_inner,
     split_sharing_inter,
 )
-from .routing import RoutingRecord, collect_routing, heatmap_csv, l2_matrix_csv
+from .routing import collect_routing, heatmap_csv, l2_matrix_csv, read_routing_csv
 from .sampler import (
     DEFAULT_DOMAINS,
     SamplerMode,
     SamplerState,
-    dynamic_update,
     load_preset,
-    next_domain,
-    update_due,
+    schedule_log,
 )
 from .tensor import Rng
 from .trainer import DivergenceError, TrainConfig, train_distill
@@ -273,70 +271,23 @@ def cmd_schedule(args) -> int:
         mode=mode,
         update_interval_tokens=args.interval,
     )
-    rng = Rng(args.seed)
-    lines = ["step,domain," + ",".join(state.current.domains)]
-    update_idx = 0
-    for step in range(args.draws):
-        if update_due(state):
-            obs = (
-                observed_seq[update_idx % len(observed_seq)]
-                if observed_seq
-                else state.reference_loss
-            )
-            state = dynamic_update(state, obs)
-            update_idx += 1
-        domain, state = next_domain(state, rng)
-        row = ",".join(repr(float(w)) for w in state.current.weights)
-        lines.append(f"{step},{domain},{row}")
+    pieces = schedule_log(state, Rng(args.seed), args.draws, observed_seq)
     with open(args.out, "w") as f:
-        f.write("\n".join(lines) + "\n")
+        f.writelines(pieces)
     print(f"wrote {args.draws} draws to {args.out}")
     return EXIT_OK
 
 
-def _parse_routing_csv(path: str, domains: tuple[str, ...]) -> list[RoutingRecord]:
-    records = []
-    with open(path) as f:
-        lines = f.read().splitlines()
-    if not lines:
-        return records
-    header = lines[0].split(",")
-    expected = ["token_id", "domain", "layer", "expert", "weight"]
-    if header != expected:
-        raise ValueError(f"line 1: expected header {','.join(expected)}")
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        parts = line.split(",")
-        if len(parts) != 5:
-            raise ValueError(f"line {lineno}: expected 5 fields, got {len(parts)}")
-        try:
-            records.append(
-                RoutingRecord(
-                    token_id=int(parts[0]),
-                    domain=parts[1],
-                    layer=int(parts[2]),
-                    expert=int(parts[3]),
-                    weight=float(parts[4]),
-                )
-            )
-        except ValueError as err:
-            raise ValueError(f"line {lineno}: {err}") from err
-        if parts[1] not in domains:
-            raise ValueError(f"line {lineno}: unknown domain label {parts[1]!r}")
-    return records
-
-
 def cmd_analyze(args) -> int:
     domains = tuple(args.domains.split(",")) if args.domains else DEFAULT_DOMAINS
-    records = _parse_routing_csv(args.routing, domains)
+    records = read_routing_csv(args.routing, domains)
     os.makedirs(args.out, exist_ok=True)
-    if not records:
+    if not len(records):
         print("no records; nothing to write")
         return EXIT_OK
-    n_layers = max(r.layer for r in records) + 1
+    n_layers = int(records.layer.max()) + 1
     n_experts = (
-        args.experts if args.experts else max(r.expert for r in records) + 1
+        args.experts if args.experts else int(records.expert.max()) + 1
     )
     stats = collect_routing(records, n_layers, n_experts, domains)
     for layer in range(n_layers):

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import enum
 import json
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from importlib import resources
 
@@ -79,7 +80,6 @@ class SamplerState:
     reference_loss: np.ndarray
     mode: SamplerMode
     update_interval_tokens: int
-    tokens_per_draw: int = 1
     tokens_since_update: int = 0
 
     def __post_init__(self):
@@ -101,13 +101,16 @@ class SamplerState:
         )
 
 
-def next_domain(state: SamplerState, rng: Rng) -> tuple[str, SamplerState]:
-    """Draw one domain under the current weights; advances the token counter."""
-    i = rng.choice_weighted(state.current.weights)
-    new = replace(
-        state, tokens_since_update=state.tokens_since_update + state.tokens_per_draw
-    )
-    return state.current.domains[i], new
+def next_domain(state: SamplerState, rng: Rng, count: int | None = None):
+    """Draw one domain under the current weights, or with `count` a list of
+    that many, the same as `count` single draws (one bulk draw from `rng`).
+    Returns the draw and the state with one more token per domain drawn."""
+    domains, weights = state.current.domains, state.current.weights
+    if count is None:
+        drawn, count = domains[rng.choice_weighted(weights)], 1
+    else:
+        drawn = [domains[i] for i in rng.choice_weighted(weights, count).tolist()]
+    return drawn, replace(state, tokens_since_update=state.tokens_since_update + count)
 
 
 def update_due(state: SamplerState) -> bool:
@@ -137,6 +140,42 @@ def dynamic_update(state: SamplerState, observed_loss) -> SamplerState:
             domains=state.current.domains, weights=raw / raw.sum()
         )
     return replace(state, current=new_weights, tokens_since_update=0)
+
+
+def schedule_log(
+    state: SamplerState, rng: Rng, draws: int, observed_loss: Sequence = ()
+) -> list[str]:
+    """The mixture log of `draws` draws as CSV text in pieces, to be written
+    in order: a header, then `step,domain` and the weights in force at that
+    draw, one line per draw.
+
+    A dynamic sampler updates whenever one is due, on the observed loss
+    rows in turn (cycling; the reference loss if there are none). Between
+    two updates the weights are fixed and the draws i.i.d., so each run of
+    them is one bulk `next_domain` draw, one piece of text, and its weight
+    row is formatted once.
+    """
+    pieces = ["step,domain," + ",".join(state.current.domains) + "\n"]
+    step = updates = 0
+    while step < draws:
+        if update_due(state):
+            obs = (
+                observed_loss[updates % len(observed_loss)]
+                if len(observed_loss)
+                else state.reference_loss
+            )
+            state = dynamic_update(state, obs)
+            updates += 1
+        count = draws - step
+        if state.mode is SamplerMode.DYNAMIC:
+            count = min(count, state.update_interval_tokens - state.tokens_since_update)
+        drawn, state = next_domain(state, rng, count)
+        row = ",".join(repr(float(w)) for w in state.current.weights)
+        pieces.append("".join(
+            [f"{s},{d},{row}\n" for s, d in zip(range(step, step + count), drawn)]
+        ))
+        step += count
+    return pieces
 
 
 def apply_filter_mask(stream: list, mask: list[bool]) -> list:

@@ -279,12 +279,31 @@ class Rng:
                 self._state = int(states[last_lane])
         return out.reshape(-1)[:count]
 
-    def choice_weighted(self, weights: np.ndarray) -> int:
-        """Index drawn with probability proportional to `weights` (sum ~ 1)."""
-        u = self.next_float() * float(np.sum(weights))
-        acc = 0.0
-        for i, w in enumerate(weights):
-            acc += float(w)
-            if u < acc:
-                return i
-        return len(weights) - 1
+    def choice_weighted(self, weights: np.ndarray, count: int | None = None):
+        """Index drawn with probability proportional to `weights` (sum ~ 1).
+
+        With `count`, an int array of `count` such draws from one block of
+        the stream: the values and the state left behind are identical to
+        `count` single draws, for nonnegative weights. `np.cumsum` adds in
+        sequence like the running sum below, and the first edge above u is
+        a right-sided search.
+        """
+        if count is None:
+            u = self.next_float() * float(np.sum(weights))
+            acc = 0.0
+            for i, w in enumerate(weights):
+                acc += float(w)
+                if u < acc:
+                    return i
+            return len(weights) - 1
+        w = np.asarray(weights, dtype=np.float64)
+        if np.any(w < 0):
+            raise ValueError("bulk weighted draws need nonnegative weights")
+        edges, scale = np.cumsum(w), float(np.sum(weights))
+        out = np.empty(count, dtype=np.intp)
+        for start in range(0, count, _BLOCK):
+            u = (self._u64_block(min(count - start, _BLOCK)) >> 11).astype(np.float64)
+            u *= 1.0 / (1 << 53)
+            u *= scale
+            out[start:start + len(u)] = np.searchsorted(edges, u, side="right")
+        return np.minimum(out, len(w) - 1, out=out)

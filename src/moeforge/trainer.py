@@ -199,10 +199,11 @@ def distill_mse(layer: MoeLayer, teacher: DenseFfn, xs) -> float:
     of EVAL_ROWS, so memory does not grow with the number of inputs."""
     x = as_matrix(xs, cols=layer.d)
     total = 0.0
-    for chunk in np.split(x, range(EVAL_ROWS, len(x), EVAL_ROWS)):
-        y, _, _ = moe_forward(layer, chunk)
-        t, _ = ffn_forward(teacher, chunk)
-        total += 0.5 * float(np.einsum("bd,bd->", y - t, y - t))
+    with np.errstate(over="ignore", invalid="ignore"):  # a diverged layer gives nan
+        for chunk in np.split(x, range(EVAL_ROWS, len(x), EVAL_ROWS)):
+            y, _, _ = moe_forward(layer, chunk)
+            t, _ = ffn_forward(teacher, chunk)
+            total += 0.5 * float(np.einsum("bd,bd->", y - t, y - t))
     return total / len(x)
 
 
@@ -220,24 +221,27 @@ def train_distill(
     data = as_matrix(data, cols=teacher.d)
     report = TrainReport()
     cursor = 0
-    for step in range(cfg.total_steps):
-        xs = data[(cursor + np.arange(cfg.batch_size)) % len(data)]
-        cursor = (cursor + cfg.batch_size) % len(data)
+    # overflow and invalid values are how divergence shows; the non-finite
+    # loss check below reports it, so numpy need not warn on the way
+    with np.errstate(over="ignore", invalid="ignore"):
+        for step in range(cfg.total_steps):
+            xs = data[(cursor + np.arange(cfg.batch_size)) % len(data)]
+            cursor = (cursor + cfg.batch_size) % len(data)
 
-        loss, grads, stats = batch_loss_and_grads(
-            layer, teacher, xs, cfg.balance_coeff
-        )
-        lr = lr_at(step + 1, cfg)
-        report.losses.append(loss)
-        report.importance_losses.append(stats["importance_loss"])
-        report.load_losses.append(stats["load_loss"])
-        report.routing_entropies.append(stats["routing_entropy"])
-        report.lrs.append(lr)
-        if not math.isfinite(loss):
-            report.final_mse = float("nan")
-            raise DivergenceError(step, report)
+            loss, grads, stats = batch_loss_and_grads(
+                layer, teacher, xs, cfg.balance_coeff
+            )
+            lr = lr_at(step + 1, cfg)
+            report.losses.append(loss)
+            report.importance_losses.append(stats["importance_loss"])
+            report.load_losses.append(stats["load_loss"])
+            report.routing_entropies.append(stats["routing_entropy"])
+            report.lrs.append(lr)
+            if not math.isfinite(loss):
+                report.final_mse = float("nan")
+                raise DivergenceError(step, report)
 
-        _apply_sgd(layer, grads, lr)
+            _apply_sgd(layer, grads, lr)
 
     report.final_mse = distill_mse(layer, teacher, data)
     return report

@@ -204,6 +204,24 @@ class TestTrain:
         assert code == EXIT_DIVERGENCE
         assert os.path.exists(os.path.join(out, "train_report.csv"))
 
+    def test_huge_finite_weights_diverge_without_warnings(self, teacher_file, tmp_path, capsys):
+        # The suite turns RuntimeWarning into an error, so a numpy overflow
+        # warning on the way to the non-finite loss check would fail here.
+        path, _ = teacher_file
+        tensors = read_mft(self.make_layer_file(teacher_file, tmp_path))
+        for name in tensors:
+            if name.endswith((".w_up", ".w_gate", ".w_down")):
+                tensors[name] = np.full_like(tensors[name], 1e300)
+        layer_path = str(tmp_path / "huge.mft")
+        write_mft(layer_path, tensors)
+        cfg_path = self.write_config(tmp_path, total_steps=3, warmup_steps=0)
+        out = str(tmp_path / "outhuge")
+        code = run(["train", "--layer", layer_path, "--teacher", path,
+                    "--config", cfg_path, "--out", out])
+        assert code == EXIT_DIVERGENCE
+        assert "non-finite loss at step 0" in capsys.readouterr().err
+        assert os.path.exists(os.path.join(out, "train_report.csv"))
+
     @pytest.mark.parametrize(
         "overrides",
         [
