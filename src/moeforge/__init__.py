@@ -6,7 +6,7 @@ top-k gate and N/k re-scaling, distill the dense teacher back into it, and
 analyze routing specialization across data domains.
 """
 
-from .dense_ffn import DenseFfn, ffn_forward, ffn_output_grad_to_h
+from .dense_ffn import DenseFfn, ExpertFfn, ffn_forward, ffn_output_grad_to_h
 from .importance import (
     DataGroup,
     ImportanceVector,
@@ -14,8 +14,6 @@ from .importance import (
     group_data_by_clustering,
 )
 from .moe import (
-    AuxLossTerms,
-    ExpertFfn,
     GateNetwork,
     MoeLayer,
     TokenRouting,
@@ -38,7 +36,6 @@ from .routing import (
     RoutingRecord,
     RoutingStats,
     collect_routing,
-    count_routing,
     dead_expert_report,
     routing_l2_matrix,
 )
@@ -51,7 +48,7 @@ from .sampler import (
     next_domain,
     schedule_log,
 )
-from .tensor import Rng, matmul, softmax, swish
+from .tensor import Rng, softmax, swish
 from .trainer import (
     TrainConfig,
     TrainReport,

@@ -14,10 +14,10 @@ from dataclasses import fields
 
 import numpy as np
 
-from .dense_ffn import DenseFfn, ffn_forward
+from .dense_ffn import DenseFfn, ExpertFfn, ffn_forward, row_chunks
 from .importance import importance_by_groups
 from .mft import MftError, read_mft, write_mft
-from .moe import ExpertFfn, GateNetwork, MoeLayer, assemble_moe
+from .moe import GateNetwork, MoeLayer, assemble_moe
 from .partition import (
     ExpertPartition,
     PartitionMethod,
@@ -43,6 +43,7 @@ EXIT_DATA = 3
 EXIT_DIVERGENCE = 4
 
 TRAIN_KEYS = {f.name for f in fields(TrainConfig)} | {"num_samples"}
+SWIGLU_PARTS = ("w_up", "w_gate", "w_down")
 
 
 # ---------------------------------------------------------------- serialization
@@ -55,7 +56,7 @@ def _tensor(tensors: dict[str, np.ndarray], name: str) -> np.ndarray:
 
 def _swiglu_weights(tensors: dict[str, np.ndarray], prefix: str = "") -> dict:
     """The `prefix`w_up/w_gate/w_down tensors, keyed as DenseFfn's fields."""
-    return {part: _tensor(tensors, prefix + part) for part in ("w_up", "w_gate", "w_down")}
+    return {part: _tensor(tensors, prefix + part) for part in SWIGLU_PARTS}
 
 
 def _integers(tensors: dict[str, np.ndarray], name: str) -> tuple[int, ...]:
@@ -74,9 +75,7 @@ def ffn_from_mft(path: str) -> DenseFfn:
 
 
 def ffn_to_mft(path: str, ffn: DenseFfn) -> None:
-    write_mft(
-        path, {"w_up": ffn.w_up, "w_gate": ffn.w_gate, "w_down": ffn.w_down}
-    )
+    write_mft(path, {part: getattr(ffn, part) for part in SWIGLU_PARTS})
 
 
 def layer_to_tensors(layer: MoeLayer) -> dict[str, np.ndarray]:
@@ -85,17 +84,13 @@ def layer_to_tensors(layer: MoeLayer) -> dict[str, np.ndarray]:
         "gate.w_noise": layer.gate.w_noise,
         "gate.k": np.array([float(layer.gate.k)]),
     }
-    for i, ex in enumerate(layer.experts):
-        tensors[f"expert.{i}.w_up"] = ex.w_up
-        tensors[f"expert.{i}.w_gate"] = ex.w_gate
-        tensors[f"expert.{i}.w_down"] = ex.w_down
-        tensors[f"expert.{i}.indices"] = np.array(ex.source_indices, dtype=np.float64)
+    experts = [(f"expert.{i}.", ex) for i, ex in enumerate(layer.experts)]
     if layer.residual_expert is not None:
-        r = layer.residual_expert
-        tensors["residual.w_up"] = r.w_up
-        tensors["residual.w_gate"] = r.w_gate
-        tensors["residual.w_down"] = r.w_down
-        tensors["residual.indices"] = np.array(r.source_indices, dtype=np.float64)
+        experts.append(("residual.", layer.residual_expert))
+    for prefix, ex in experts:
+        for part in SWIGLU_PARTS:
+            tensors[prefix + part] = getattr(ex, part)
+        tensors[prefix + "indices"] = np.array(ex.source_indices, dtype=np.float64)
     return tensors
 
 
@@ -175,12 +170,13 @@ def _synthetic_importance(ffn: DenseFfn, n: int, seed: int, num_samples: int):
     """Importance vectors from seeded synthetic data: gaussian inputs,
     squared-error loss against gaussian targets (grad_y = y - target)."""
     rng = Rng(seed ^ 0xDA7A)
-    # per sample: x, then its target, as consecutive draws
-    drawn = rng.normal_array((num_samples, 2, ffn.d))
-    x, target = drawn[:, 0], drawn[:, 1]
-    y, _ = ffn_forward(ffn, x)
-    vecs = importance_by_groups(ffn, list(zip(x, y - target)), n, rng)
-    return [v.values for v in vecs]
+    # per sample: x, then its target, as consecutive draws; the target half
+    # is then overwritten with grad_y, chunk by chunk
+    pairs = rng.normal_array((num_samples, 2, ffn.d))
+    for chunk in row_chunks(pairs):
+        y, _ = ffn_forward(ffn, chunk[:, 0])
+        chunk[:, 1] = y - chunk[:, 1]
+    return [v.values for v in importance_by_groups(ffn, pairs, n, rng)]
 
 
 def cmd_split(args) -> int:
@@ -370,7 +366,7 @@ def main(argv: list[str] | None = None) -> int:
     except DivergenceError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_DIVERGENCE
-    except (MftError, ValueError, OSError, json.JSONDecodeError, KeyError) as err:
+    except (MftError, ValueError, OSError, json.JSONDecodeError, KeyError, MemoryError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_DATA
 

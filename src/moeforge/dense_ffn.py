@@ -16,6 +16,18 @@ import numpy as np
 
 from .tensor import as_matrix, as_rows, sigmoid
 
+# Rows per piece when a pass over many inputs goes through in chunks, so its
+# temporaries do not grow with the number of inputs.
+EVAL_ROWS = 64
+
+
+def row_chunks(x: np.ndarray) -> list[np.ndarray]:
+    """Views of `x` along its first axis: as few pieces of at most EVAL_ROWS
+    rows as will do, of even size (an empty `x` is one empty piece). A tail
+    of one or two rows can take another BLAS kernel and round differently
+    from one pass over all the rows; even pieces keep the same kernels."""
+    return np.array_split(x, max(1, -(-len(x) // EVAL_ROWS)))
+
 
 @dataclass(frozen=True)
 class DenseFfn:
@@ -52,6 +64,27 @@ class DenseFfn:
             w_gate=rng.normal_array((d, d_h), up_scale),
             w_down=rng.normal_array((d_h, d), down_scale),
         )
+
+
+@dataclass(frozen=True)
+class ExpertFfn(DenseFfn):
+    """One expert: a SwiGLU slice of the dense FFN (d_h = m neurons) plus
+    the dense neuron indices it was cut from."""
+
+    source_indices: tuple[int, ...] = ()
+
+    @property
+    def m(self) -> int:
+        return self.d_h
+
+    def forward(self, x: np.ndarray) -> np.ndarray:
+        """Expert output for x (d,) or a batch X (B, d)."""
+        xs, single = as_rows(x, self.d)
+        y, _ = swiglu_forward(xs, self.w_up, self.w_gate, self.w_down)
+        return y[0] if single else y
+
+    def param_count(self) -> int:
+        return self.w_up.size + self.w_gate.size + self.w_down.size
 
 
 class SwigluCache(NamedTuple):

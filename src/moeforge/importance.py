@@ -2,9 +2,10 @@
 
 Each sample contributes |h * grad_h| to the running importance vector,
 where h is the FFN's intermediate activation and grad_h the loss gradient
-pulled back from the output. The loss itself is abstracted: callers supply
-grad_y per sample (for a squared-error loss, grad_y = y - target). A group
-is scored in one batch: |H * (G_y @ W_down^T)| summed over its rows.
+pulled back from the output (the first-order Taylor criterion). The loss
+itself is abstracted: callers supply grad_y per sample (for a squared-error
+loss, grad_y = y - target). Samples are (x, grad_y) pairs, held as one
+(N, 2, d) array, and a group is scored EVAL_ROWS rows at a time.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dense_ffn import DenseFfn, ffn_forward, ffn_output_grad_to_h
+from .dense_ffn import DenseFfn, ffn_forward, ffn_output_grad_to_h, row_chunks
 from .partition import kmeans
 from .tensor import Rng, ShapeError
 
@@ -39,47 +40,48 @@ class ImportanceVector:
 
 @dataclass
 class DataGroup:
-    """Labelled group of (input, output-gradient) pairs."""
+    """Labelled group of (input, output-gradient) pairs: an (N, 2, d) array
+    or a list of (x, grad_y) tuples."""
 
     id: str
-    samples: list[tuple[np.ndarray, np.ndarray]] = field(default_factory=list)
+    samples: list[tuple[np.ndarray, np.ndarray]] | np.ndarray = field(default_factory=list)
 
 
 def accumulate_importance(
     ffn: DenseFfn, group: DataGroup, v: ImportanceVector
 ) -> ImportanceVector:
-    """Fold a data group into the importance vector (returns a new one)."""
+    """Fold a data group into the importance vector (returns a new one).
+    Rows are added one after another, in order, whatever the chunking."""
     if len(v.values) != ffn.d_h:
         raise ShapeError(f"importance vector length {len(v.values)} != d_h {ffn.d_h}")
-    values = v.values.copy()
-    if group.samples:
-        _, h = ffn_forward(ffn, np.array([x for x, _ in group.samples]))
-        grad_h = ffn_output_grad_to_h(ffn, np.array([g for _, g in group.samples]))
-        values += np.abs(h * grad_h).sum(axis=0)
-    return ImportanceVector(values=values, samples_seen=v.samples_seen + len(group.samples))
+    pairs = np.asarray(group.samples, dtype=np.float64).reshape(-1, 2, ffn.d)
+    values = v.values
+    for chunk in row_chunks(pairs):
+        _, h = ffn_forward(ffn, chunk[:, 0])
+        grad_h = ffn_output_grad_to_h(ffn, chunk[:, 1])
+        values = np.vstack((values, np.abs(h * grad_h))).sum(axis=0)
+    return ImportanceVector(values=values, samples_seen=v.samples_seen + len(pairs))
 
 
 def group_data_by_clustering(
-    samples: list[np.ndarray], n: int, rng: Rng
+    samples: list[np.ndarray] | np.ndarray, n: int, rng: Rng
 ) -> list[list[int]]:
     """Standard (unbalanced) k-means on the inputs, each sample joining its
     nearest centroid; returns n index groups. See `partition.kmeans`."""
-    pts = np.asarray(samples, dtype=np.float64)
+    pts = np.ascontiguousarray(samples, dtype=np.float64)
     assign = kmeans(pts, n, rng, lambda dist: np.argmin(dist, axis=1))
     return [[int(i) for i in np.flatnonzero(assign == c)] for c in range(n)]
 
 
 def importance_by_groups(
-    ffn: DenseFfn,
-    samples: list[tuple[np.ndarray, np.ndarray]],
-    n: int,
-    rng: Rng,
+    ffn: DenseFfn, pairs: np.ndarray, n: int, rng: Rng
 ) -> list[ImportanceVector]:
-    """Cluster inputs into n groups and accumulate one importance vector per
-    group, in group order."""
-    groups_idx = group_data_by_clustering([x for x, _ in samples], n, rng)
-    groups = [
-        DataGroup(id=f"group{c}", samples=[samples[i] for i in idx])
+    """Cluster the inputs `pairs[:, 0]` of (N, 2, d) (x, grad_y) pairs into n
+    groups and accumulate one importance vector per group, in group order."""
+    groups_idx = group_data_by_clustering(pairs[:, 0], n, rng)
+    return [
+        accumulate_importance(
+            ffn, DataGroup(id=f"group{c}", samples=pairs[idx]), ImportanceVector.zeros(ffn.d_h)
+        )
         for c, idx in enumerate(groups_idx)
     ]
-    return [accumulate_importance(ffn, g, ImportanceVector.zeros(ffn.d_h)) for g in groups]

@@ -8,7 +8,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dense_ffn import DenseFfn, SwigluCache, swiglu_forward
+from .dense_ffn import DenseFfn, ExpertFfn, SwigluCache, swiglu_forward
+from .partition import slice_expert
 from .tensor import Rng, ShapeError, as_matrix, as_rows, softmax, top_k_indices
 
 
@@ -16,27 +17,6 @@ def softplus(z: np.ndarray) -> np.ndarray:
     """log(1 + exp(z)) without overflow."""
     z = np.asarray(z, dtype=np.float64)
     return np.maximum(z, 0.0) + np.log1p(np.exp(-np.abs(z)))
-
-
-@dataclass(frozen=True)
-class ExpertFfn(DenseFfn):
-    """One expert: a SwiGLU slice of the dense FFN (d_h = m neurons) plus
-    the dense neuron indices it was cut from."""
-
-    source_indices: tuple[int, ...] = ()
-
-    @property
-    def m(self) -> int:
-        return self.d_h
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        """Expert output for x (d,) or a batch X (B, d)."""
-        xs, single = as_rows(x, self.d)
-        y, _ = swiglu_forward(xs, self.w_up, self.w_gate, self.w_down)
-        return y[0] if single else y
-
-    def param_count(self) -> int:
-        return self.w_up.size + self.w_gate.size + self.w_down.size
 
 
 @dataclass
@@ -68,16 +48,6 @@ class TokenRouting:
 
     experts: tuple[int, ...]
     weights: tuple[float, ...]
-
-
-@dataclass(frozen=True)
-class AuxLossTerms:
-    """Balance-loss inputs for one token: dense softmax over clean logits
-    (for the importance term) and the hard selection set (for load). For a
-    batch, (B, n) and (B, k) arrays."""
-
-    dense_probs: np.ndarray
-    selected: tuple[int, ...]
 
 
 def top_k(logits: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -186,18 +156,15 @@ def dispatch(
 
 def moe_forward(
     layer: MoeLayer, x: np.ndarray, rng: Rng | None = None
-) -> tuple[np.ndarray, TokenRouting, AuxLossTerms]:
+) -> tuple[np.ndarray, TokenRouting]:
     """y = sum_{i in topk} G(x)_i * (N/k) * E_i(x), plus the ungated,
     unscaled residual expert when present, for x (d,) or a batch X (B, d)."""
     xs, single = as_rows(x, layer.d)
-    logits, top, g = route(layer.gate, xs, rng)
+    _, top, g = route(layer.gate, xs, rng)
     y, _, _ = dispatch(layer, xs, top, g)
-    probs = softmax(logits)
     if single:
-        topk = tuple(int(i) for i in top[0])
-        routing = TokenRouting(experts=topk, weights=tuple(float(w) for w in g[0]))
-        return y[0], routing, AuxLossTerms(dense_probs=probs[0], selected=topk)
-    return y, TokenRouting(experts=top, weights=g), AuxLossTerms(probs, top)
+        return y[0], TokenRouting(tuple(top[0].tolist()), tuple(g[0].tolist()))
+    return y, TokenRouting(experts=top, weights=g)
 
 
 def cv_squared(values: np.ndarray) -> float:
@@ -244,8 +211,6 @@ def assemble_moe(
     gate_init "zeros" routes uniformly at step 0; "random" draws small
     gaussian gate weights from the given seed.
     """
-    from .partition import slice_expert
-
     n = partition.n
     if k > n:
         raise ValueError(f"k={k} exceeds expert count n={n}")

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dense_ffn import DenseFfn
+from .dense_ffn import DenseFfn, ExpertFfn
 from .tensor import Rng, top_k_indices
 
 KMEANS_ITERS = 100
@@ -198,11 +198,9 @@ def split_sharing_inter(
     )
 
 
-def slice_expert(ffn: DenseFfn, s) -> "ExpertFfn":
+def slice_expert(ffn: DenseFfn, s) -> ExpertFfn:
     """Cut an expert out of the dense FFN: columns s of W_up/W_gate, rows s
     of W_down, in index order."""
-    from .moe import ExpertFfn  # sliced experts live with the MoE layer
-
     cols = _check_index_set(s, ffn.d_h).astype(int)
     return ExpertFfn(
         w_up=ffn.w_up[:, cols].copy(),

@@ -75,25 +75,26 @@ class RoutingStats:
         return self.counts.shape[1]
 
 
-def count_routing(
-    token_id,
-    domain,
-    layer,
-    expert,
+def collect_routing(
+    records,
     n_layers: int,
     n_experts: int,
     domains: tuple[str, ...],
 ) -> RoutingStats:
-    """Exact counts over records given column by column; order-independent.
+    """Exact counts over RoutingRecords, or over RoutingColumns as they
+    are; order-independent.
 
     Selections are one bincount over the flat (layer, expert, domain) index;
     tokens per domain are the distinct (domain, token) pairs. A bad record
     raises as a loop over the records would: the first one in order, its
     layer checked first, then its expert, then its domain label.
     """
+    if not isinstance(records, RoutingColumns):
+        records = RoutingColumns.from_records(records)
+    token_id, domain = records.token_id, records.domain
+    layer, expert = records.layer, records.expert
     index = {d: i for i, d in enumerate(domains)}
     counts = np.zeros((n_layers, n_experts, len(domains)), dtype=np.int64)
-    token_id, layer, expert = _int_column(token_id), _int_column(layer), _int_column(expert)
     code = np.fromiter(map(index.get, domain, repeat(-1)), dtype=np.intp, count=len(domain))
     bad_layer = ~((layer >= 0) & (layer < n_layers))
     bad_expert = ~((expert >= 0) & (expert < n_experts))
@@ -115,22 +116,6 @@ def count_routing(
     first[1:] = (code[1:] != code[:-1]) | (token_id[1:] != token_id[:-1])
     tokens = np.bincount(code[first], minlength=len(domains)).astype(np.int64)
     return RoutingStats(counts=counts, domains=domains, tokens_per_domain=tokens)
-
-
-def collect_routing(
-    records,
-    n_layers: int,
-    n_experts: int,
-    domains: tuple[str, ...],
-) -> RoutingStats:
-    """Exact counting over RoutingRecords, or over RoutingColumns as they
-    are; order-independent. See count_routing."""
-    if not isinstance(records, RoutingColumns):
-        records = RoutingColumns.from_records(records)
-    return count_routing(
-        records.token_id, records.domain, records.layer, records.expert,
-        n_layers, n_experts, domains,
-    )
 
 
 def parse_routing_csv(path: str, domains: tuple[str, ...]) -> list[RoutingRecord]:

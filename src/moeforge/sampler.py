@@ -45,7 +45,7 @@ class DomainWeights:
             raise ValueError("one weight per domain required")
         if np.any(w < 0):
             raise ValueError("weights must be nonnegative")
-        if abs(w.sum() - 1.0) > 1e-12:
+        if not abs(w.sum() - 1.0) <= 1e-12:  # also false for a nan entry
             raise ValueError(f"weights must sum to 1, got {w.sum()!r}")
         object.__setattr__(self, "weights", w)
 
@@ -58,7 +58,11 @@ class DomainWeights:
     def from_mapping(mapping: dict[str, float]) -> "DomainWeights":
         domains = tuple(mapping.keys())
         w = np.array([mapping[d] for d in domains], dtype=np.float64)
-        return DomainWeights(domains=domains, weights=w / w.sum())
+        with np.errstate(over="ignore", invalid="ignore"):
+            total = w.sum()
+        if not 0.0 < total < np.inf:  # a nan or inf entry, an overflow, or no weight
+            raise ValueError(f"weights must have a positive, finite sum, got {float(total)!r}")
+        return DomainWeights(domains=domains, weights=w / total)
 
 
 def load_preset(name_or_path: str) -> DomainWeights:

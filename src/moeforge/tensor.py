@@ -16,7 +16,6 @@ __all__ = [
     "ShapeError",
     "as_matrix",
     "as_rows",
-    "matmul",
     "sigmoid",
     "swish",
     "softmax",
@@ -59,15 +58,6 @@ def as_rows(x, cols: int) -> tuple[np.ndarray, bool]:
     a = np.asarray(x, dtype=np.float64)
     single = a.ndim == 1
     return as_matrix(a[None, :] if single else a, cols=cols), single
-
-
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix product with an explicit shape check."""
-    if a.ndim != 2 or b.ndim != 2:
-        raise ShapeError("matmul requires 2-D operands")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"inner dimensions differ: {a.shape} x {b.shape}")
-    return a @ b
 
 
 def sigmoid(z: np.ndarray) -> np.ndarray:

@@ -21,16 +21,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dense_ffn import DenseFfn, ffn_forward, swiglu_backward
-from .moe import (
-    ExpertFfn, GateNetwork, MoeLayer, assemble_moe, cv_squared, dispatch, moe_forward,
-    top_k,
-)
+from .dense_ffn import EVAL_ROWS, DenseFfn, ExpertFfn, ffn_forward, swiglu_backward
+from .moe import GateNetwork, MoeLayer, assemble_moe, cv_squared, dispatch, moe_forward, top_k
 from .partition import ExpertPartition
 from .tensor import Rng, as_matrix, softmax
-
-
-EVAL_ROWS = 64
 
 
 class DivergenceError(RuntimeError):
@@ -200,8 +194,9 @@ def distill_mse(layer: MoeLayer, teacher: DenseFfn, xs) -> float:
     x = as_matrix(xs, cols=layer.d)
     total = 0.0
     with np.errstate(over="ignore", invalid="ignore"):  # a diverged layer gives nan
+        # fixed EVAL_ROWS pieces, not even ones: each piece's sum is a term of the total
         for chunk in np.split(x, range(EVAL_ROWS, len(x), EVAL_ROWS)):
-            y, _, _ = moe_forward(layer, chunk)
+            y, _ = moe_forward(layer, chunk)
             t, _ = ffn_forward(teacher, chunk)
             total += 0.5 * float(np.einsum("bd,bd->", y - t, y - t))
     return total / len(x)

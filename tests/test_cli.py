@@ -313,6 +313,19 @@ class TestSchedule:
         assert exc.value.code == EXIT_USAGE
         assert not os.path.exists(out)
 
+    @pytest.mark.parametrize("preset", [
+        '{"a": NaN, "b": 1}', '{"a": Infinity, "b": 1}', '{"a": 0, "b": 0}',
+    ])
+    def test_preset_without_a_distribution_exits_data_error(self, tmp_path, capsys, preset):
+        # json reads NaN and Infinity; neither, nor all-zero weights, can be
+        # normalised into a distribution
+        path = tmp_path / "preset.json"
+        path.write_text(preset)
+        out = str(tmp_path / "sched.csv")
+        assert run(["schedule", "--preset", str(path), "--out", out]) == EXIT_DATA
+        assert "positive, finite sum" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
 
 class TestLayerFile:
     """A malformed layer file fed to `train` exits 3 with a message."""
@@ -424,6 +437,19 @@ class TestAnalyze:
         path = self.write_csv(tmp_path, [])
         assert run(["analyze", "--routing", path,
                     "--out", str(tmp_path / "o")]) == EXIT_OK
+
+    @pytest.mark.parametrize("row, flags", [
+        ("0,C4,0,0,1.0", ["--experts", str(10**15)]),
+        (f"0,C4,{10**15},0,1.0", []),
+    ])
+    def test_count_table_too_large_exits_data_error(self, tmp_path, capsys, row, flags):
+        # the (layers, experts, domains) table is sized from the input; 10**15
+        # entries per axis is beyond any address space, so nothing is allocated
+        path = self.write_csv(tmp_path, [row])
+        out = tmp_path / "o"
+        assert run(["analyze", "--routing", path, "--out", str(out), *flags]) == EXIT_DATA
+        assert "Unable to allocate" in capsys.readouterr().err
+        assert not list(out.iterdir())
 
     def test_unknown_domain_cited(self, tmp_path, capsys):
         path = self.write_csv(tmp_path, ["0,NotADomain,0,0,1.0"])

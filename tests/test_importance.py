@@ -1,12 +1,16 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from moeforge.dense_ffn import DenseFfn, ffn_forward
+from moeforge.cli import _synthetic_importance
+from moeforge.dense_ffn import EVAL_ROWS, DenseFfn, ffn_forward
 from moeforge.importance import (
     DataGroup,
     ImportanceVector,
     accumulate_importance,
     group_data_by_clustering,
+    importance_by_groups,
 )
 from moeforge.tensor import Rng, ShapeError
 
@@ -153,3 +157,57 @@ class TestTaylorSanity:
             deltas_low.append(loss_without(lo))
             deltas_high.append(loss_without(hi))
         assert np.mean(deltas_high) - np.mean(deltas_low) >= 0.0
+
+
+def one_pass(ffn, pairs):
+    """Oracle: the group's score from one forward and one pull-back over all
+    its rows, summed over the rows in one go."""
+    pairs = np.asarray(pairs)
+    _, h = ffn_forward(ffn, pairs[:, 0])
+    return np.zeros(ffn.d_h) + np.abs(h * (pairs[:, 1] @ ffn.w_down.T)).sum(axis=0)
+
+
+def synthetic_pairs(ffn, rng, count):
+    """(count, 2, d): inputs, then grad_y = y - target, as the CLI draws them."""
+    pairs = rng.normal_array((count, 2, ffn.d))
+    y, _ = ffn_forward(ffn, pairs[:, 0])
+    pairs[:, 1] = y - pairs[:, 1]
+    return pairs
+
+
+class TestChunkedScoring:
+    """Groups are scored EVAL_ROWS rows at a time; the result must be the
+    one-pass score bit for bit, so no split output moves."""
+
+    @pytest.mark.parametrize("rows", [1, 2, 64, 65, 66, 129, 150, 300])
+    def test_matches_one_pass_bitwise(self, rows):
+        ffn = DenseFfn.random(128, 512, Rng(rows))
+        pairs = synthetic_pairs(ffn, Rng(1000 + rows), rows)
+        for samples in (pairs, list(map(tuple, pairs))):
+            v = accumulate_importance(ffn, DataGroup("g", samples), ImportanceVector.zeros(512))
+            assert v.values.tobytes() == one_pass(ffn, pairs).tobytes()
+            assert v.samples_seen == rows
+
+    def test_groups_match_one_pass_bitwise(self):
+        ffn = DenseFfn.random(128, 512, Rng(21))
+        pairs = synthetic_pairs(ffn, Rng(22), 400)
+        vecs = importance_by_groups(ffn, pairs, 3, Rng(23))
+        groups = group_data_by_clustering(list(pairs[:, 0]), 3, Rng(23))
+        assert max(map(len, groups)) > EVAL_ROWS
+        for v, idx in zip(vecs, groups):
+            assert v.values.tobytes() == one_pass(ffn, pairs[idx]).tobytes()
+            assert v.samples_seen == len(idx)
+
+
+def test_synthetic_importance_memory_is_bounded():
+    # one (4096, 1024) float64 temporary alone is 32 MB; scored in chunks the
+    # peak stays near the (4096, 2, 16) pairs array
+    ffn = DenseFfn.random(16, 1024, Rng(0))
+    tracemalloc.start()
+    try:
+        vecs = _synthetic_importance(ffn, 8, 1, 4096)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(vecs) == 8
+    assert peak < 16 * 2**20

@@ -1,0 +1,38 @@
+"""Every module imports on its own, and no function imports at call time:
+a call-time import is how a cycle between two modules hides."""
+
+import ast
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import moeforge
+
+PACKAGE = Path(moeforge.__file__).parent
+MODULES = sorted(p.stem for p in PACKAGE.glob("*.py") if p.stem != "__init__")
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_module_imports_in_a_fresh_interpreter(module):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(PACKAGE.parent), *sys.path]))
+    proc = subprocess.run(
+        [sys.executable, "-c", f"import moeforge.{module}"],
+        env=env, capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_no_import_inside_a_function():
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                found += [
+                    f"{path.name}:{node.lineno} in {fn.name}"
+                    for node in ast.walk(fn)
+                    if isinstance(node, (ast.Import, ast.ImportFrom))
+                ]
+    assert not found, found

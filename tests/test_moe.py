@@ -106,7 +106,7 @@ class TestMoeForward:
     def test_degenerate_single_expert_equals_dense(self):
         ffn, layer = make_layer(4, 8, n=1, k=1, seed=3, gate_init="zeros")
         x = Rng(4).normal_array((4,))
-        y, routing, _ = moe_forward(layer, x)
+        y, routing = moe_forward(layer, x)
         y_dense, _ = ffn_forward(ffn, x)
         assert layer.scale_factor == 1.0
         assert np.abs(y - y_dense).max() < 1e-12
@@ -121,29 +121,29 @@ class TestMoeForward:
         )
         part = split_independent_random(d_h, 2, Rng(7))
         layer = assemble_moe(ffn, part, k=1)
-        y, _, _ = moe_forward(layer, Rng(8).normal_array((d,)))
+        y, _ = moe_forward(layer, Rng(8).normal_array((d,)))
         assert np.array_equal(y, np.zeros(d))
 
     def test_against_naive_oracle(self):
         _, layer = make_layer(5, 12, n=4, k=2, seed=9, gate_init="random")
         for seed in range(5):
             x = Rng(100 + seed).normal_array((5,))
-            y, _, _ = moe_forward(layer, x)
+            y, _ = moe_forward(layer, x)
             assert np.abs(y - naive_moe_output(layer, x)).max() < 1e-12
 
     def test_rescaling_identity(self):
         # k == N, gate forced uniform, scale 1: N * y == FFN(x)
         ffn, layer = make_layer(4, 8, n=4, k=4, seed=10, gate_init="zeros")
         x = Rng(11).normal_array((4,))
-        y, _, _ = moe_forward(layer, x)
+        y, _ = moe_forward(layer, x)
         y_dense, _ = ffn_forward(ffn, x)
         assert np.abs(4 * y - y_dense).max() <= 1e-9
 
     def test_deterministic_with_noise_off(self):
         _, layer = make_layer(4, 8, n=4, k=2, seed=12)
         x = Rng(13).normal_array((4,))
-        y1, _, _ = moe_forward(layer, x)
-        y2, _, _ = moe_forward(layer, x)
+        y1, _ = moe_forward(layer, x)
+        y2, _ = moe_forward(layer, x)
         assert np.array_equal(y1, y2)
 
 

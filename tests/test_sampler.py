@@ -29,6 +29,17 @@ class TestDomainWeights:
         with pytest.raises(ValueError):
             DomainWeights(domains=("a", "b"), weights=np.array([0.5, 0.6]))
 
+    def test_rejects_nan(self):
+        # abs(nan - 1) > tol is false, so the sum check must be written to fail on nan
+        with pytest.raises(ValueError):
+            DomainWeights(domains=("a", "b"), weights=np.array([np.nan, 1.0]))
+
+    @pytest.mark.parametrize("w", [[np.nan, 1.0], [np.inf, 1.0], [np.inf, -np.inf],
+                                   [0.0, 0.0], [-1.0, -1.0], [1e308, 1e308]])
+    def test_from_mapping_needs_positive_finite_sum(self, w):
+        with pytest.raises(ValueError, match="positive, finite sum"):
+            DomainWeights.from_mapping(dict(zip("ab", w)))
+
     def test_presets_load(self):
         for name in ("llama_v1", "sheared_final", "uniform"):
             w = load_preset(name)

@@ -1,51 +1,10 @@
 import numpy as np
 import pytest
 
-from moeforge.tensor import Rng, ShapeError, matmul, sigmoid, softmax, swish
+from moeforge.tensor import Rng, sigmoid, softmax, swish
 
 # sigma(1) to full float64 precision (reference: 1/(1+exp(-1)))
 SIGMOID_1 = 0.7310585786300049
-
-
-def naive_matmul(a, b):
-    """Independent triple-loop oracle."""
-    out = np.zeros((a.shape[0], b.shape[1]))
-    for i in range(a.shape[0]):
-        for j in range(b.shape[1]):
-            acc = 0.0
-            for k in range(a.shape[1]):
-                acc += a[i, k] * b[k, j]
-            out[i, j] = acc
-    return out
-
-
-class TestMatmul:
-    def test_identity(self):
-        a = np.array([[1.0, 2.0], [3.0, 4.0]])
-        assert np.array_equal(matmul(np.eye(2), a), a)
-
-    def test_projection(self):
-        p = np.array([[1.0, 0.0], [0.0, 0.0]])
-        v = np.array([[5.0], [7.0]])
-        assert np.array_equal(matmul(p, v), np.array([[5.0], [0.0]]))
-
-    def test_against_naive_oracle(self):
-        rng = Rng(13)
-        a = rng.normal_array((3, 4))
-        b = rng.normal_array((4, 2))
-        assert np.abs(matmul(a, b) - naive_matmul(a, b)).max() < 1e-12
-
-    def test_shape_error(self):
-        with pytest.raises(ShapeError):
-            matmul(np.zeros((2, 3)), np.zeros((2, 3)))
-
-    def test_associativity(self):
-        for seed in range(10):
-            rng = Rng(seed)
-            a, b, c = (rng.normal_array((4, 4)) for _ in range(3))
-            lhs = matmul(matmul(a, b), c)
-            rhs = matmul(a, matmul(b, c))
-            assert np.abs(lhs - rhs).max() <= 1e-9 * max(1.0, np.abs(lhs).max())
 
 
 class TestSwish:
