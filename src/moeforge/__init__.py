@@ -43,7 +43,6 @@ from .sampler import (
     DomainWeights,
     SamplerMode,
     SamplerState,
-    apply_filter_mask,
     dynamic_update,
     next_domain,
     schedule_log,

@@ -21,6 +21,8 @@ from .moe import GateNetwork, MoeLayer, assemble_moe
 from .partition import (
     ExpertPartition,
     PartitionMethod,
+    check_divides,
+    check_index_set,
     split_independent_clustering,
     split_independent_random,
     split_sharing_inner,
@@ -42,7 +44,6 @@ EXIT_USAGE = 2
 EXIT_DATA = 3
 EXIT_DIVERGENCE = 4
 
-TRAIN_KEYS = {f.name for f in fields(TrainConfig)} | {"num_samples"}
 SWIGLU_PARTS = ("w_up", "w_gate", "w_down")
 
 
@@ -98,17 +99,17 @@ def _expert(
     tensors: dict[str, np.ndarray], prefix: str, teacher_d_h: int | None
 ) -> ExpertFfn:
     """The expert under `prefix`. Its indices name one teacher neuron per
-    column of its w_up, strictly increasing, in [0, teacher_d_h) when the
-    teacher is known."""
+    column of its w_up and form an index set (`check_index_set`) of the
+    teacher's d_h neurons, unbounded above when the teacher is not known."""
     name = prefix + "indices"
     ex = ExpertFfn(**_swiglu_weights(tensors, prefix), source_indices=_integers(tensors, name))
     idx = ex.source_indices
     if len(idx) != ex.d_h:
         raise MftError(f"tensor {name!r} holds {len(idx)} indices for {ex.d_h} neurons")
-    if idx[0] < 0 or any(b <= a for a, b in zip(idx, idx[1:])):
-        raise MftError(f"tensor {name!r} must be strictly increasing and nonnegative")
-    if teacher_d_h is not None and idx[-1] >= teacher_d_h:
-        raise MftError(f"tensor {name!r} has index {idx[-1]} >= the teacher's d_h={teacher_d_h}")
+    try:
+        check_index_set(idx, teacher_d_h)
+    except ValueError as err:
+        raise MftError(f"tensor {name!r}: {err}") from err
     return ex
 
 
@@ -129,7 +130,7 @@ def layer_from_tensors(
     residual = None
     if any(name.startswith("residual.") for name in tensors):
         residual = _expert(tensors, "residual.", teacher_d_h)
-    return MoeLayer(experts=experts, gate=gate, scale_factor=n / k[0], residual_expert=residual)
+    return MoeLayer(experts=experts, gate=gate, residual_expert=residual)
 
 
 def write_layer(path: str, layer: MoeLayer) -> None:
@@ -166,6 +167,23 @@ def partition_from_json(text: str) -> ExpertPartition:
 
 # ---------------------------------------------------------------- commands
 
+def _json(path: str, kind: type, message: str):
+    """The JSON document in `path`; ValueError(message) unless it is a `kind`."""
+    with open(path) as f:
+        doc = json.load(f)
+    if not isinstance(doc, kind):
+        raise ValueError(message)
+    return doc
+
+
+def _losses(values, what: str) -> np.ndarray:
+    """JSON loss values as a float64 array; a non-number is a data error."""
+    try:
+        return np.asarray(values, dtype=np.float64)
+    except TypeError as err:
+        raise ValueError(f"{what} must hold numbers: {err}") from err
+
+
 def _synthetic_importance(ffn: DenseFfn, n: int, seed: int, num_samples: int):
     """Importance vectors from seeded synthetic data: gaussian inputs,
     squared-error loss against gaussian targets (grad_y = y - target)."""
@@ -188,11 +206,7 @@ def cmd_split(args) -> int:
     elif method is PartitionMethod.INDEPENDENT_CLUSTERING:
         partition = split_independent_clustering(ffn, args.experts, rng)
     else:
-        if ffn.d_h % args.experts != 0:
-            raise ValueError(
-                f"expert count {args.experts} must divide d_h={ffn.d_h}"
-            )
-        m = ffn.d_h // args.experts
+        m = check_divides(ffn.d_h, args.experts)
         vecs = _synthetic_importance(
             ffn, args.experts, args.seed, args.importance_samples
         )
@@ -201,11 +215,12 @@ def cmd_split(args) -> int:
         else:
             partition = split_sharing_inter(vecs, m, args.residual_threshold)
 
-    with open(args.out_partition, "w") as f:
-        f.write(partition_to_json(partition))
+    # assembled first, so a bad --topk writes neither file
     layer = assemble_moe(
         ffn, partition, k=args.topk, gate_init=args.gate_init, seed=args.seed
     )
+    with open(args.out_partition, "w") as f:
+        f.write(partition_to_json(partition))
     write_layer(args.out_layer, layer)
 
     print(f"method={method.value} n={partition.n} m={partition.m} d_h={partition.d_h}")
@@ -217,18 +232,12 @@ def cmd_split(args) -> int:
 def cmd_train(args) -> int:
     teacher = ffn_from_mft(args.teacher)
     layer = read_layer(args.layer, teacher.d_h)
-    with open(args.config) as f:
-        doc = json.load(f)
-    if not isinstance(doc, dict):
-        raise ValueError("train config must be a JSON object")
-    unknown = sorted(set(doc) - TRAIN_KEYS)
+    doc = _json(args.config, dict, "train config must be a JSON object")
+    unknown = sorted(set(doc) - {f.name for f in fields(TrainConfig)})
     if unknown:
         raise ValueError(f"unknown train config keys: {', '.join(unknown)}")
-    cfg = TrainConfig(**{k: v for k, v in doc.items() if k != "num_samples"})
-    num_samples = doc.get("num_samples", max(cfg.batch_size, 64))
-    if not isinstance(num_samples, int) or num_samples < 1:
-        raise ValueError("num_samples must be a positive integer")
-    data = Rng(cfg.seed).normal_array((num_samples, teacher.d))
+    cfg = TrainConfig(**doc)
+    data = Rng(cfg.seed).normal_array((cfg.num_samples, teacher.d))
 
     os.makedirs(args.out, exist_ok=True)
     report_path = os.path.join(args.out, "train_report.csv")
@@ -252,13 +261,11 @@ def cmd_schedule(args) -> int:
     reference_loss = np.zeros(len(weights.domains))
     observed_seq: list[np.ndarray] = []
     if args.reference_loss:
-        with open(args.reference_loss) as f:
-            doc = json.load(f)
-        reference_loss = np.array([doc[d] for d in weights.domains])
+        doc = _json(args.reference_loss, dict, "--reference-loss must be a JSON {domain: loss}")
+        reference_loss = _losses([doc[d] for d in weights.domains], "--reference-loss")
     if args.observed_loss:
-        with open(args.observed_loss) as f:
-            seq = json.load(f)
-        observed_seq = [np.asarray(row, dtype=np.float64) for row in seq]
+        seq = _json(args.observed_loss, list, "--observed-loss must be a JSON list of loss rows")
+        observed_seq = [_losses(row, "--observed-loss") for row in seq]
 
     state = SamplerState(
         current=weights,

@@ -3,8 +3,9 @@
 Forward: h = (x @ W_up) * swish(x @ W_gate), y = h @ W_down. Input x is a
 row vector left-multiplying the weights, so "neuron j" means column j of
 W_up/W_gate and row j of W_down. A batch X (B, d) stacks B such rows, and
-every SwiGLU in the package (teacher, experts, residual expert, importance)
-runs through the batch-first `swiglu_forward` / `swiglu_backward` pair.
+every SwiGLU in the package (teacher, experts, residual expert) runs
+through the batch-first `swiglu_forward` / `swiglu_backward` pair, and
+importance scoring through `swiglu_hidden`, the part of the forward up to H.
 """
 
 from __future__ import annotations
@@ -79,9 +80,7 @@ class ExpertFfn(DenseFfn):
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         """Expert output for x (d,) or a batch X (B, d)."""
-        xs, single = as_rows(x, self.d)
-        y, _ = swiglu_forward(xs, self.w_up, self.w_gate, self.w_down)
-        return y[0] if single else y
+        return ffn_forward(self, x)[0]
 
     def param_count(self) -> int:
         return self.w_up.size + self.w_gate.size + self.w_down.size
@@ -96,17 +95,23 @@ class SwigluCache(NamedTuple):
     h: np.ndarray  # a * swish(b)
 
 
-def swiglu_forward(
-    x: np.ndarray, w_up: np.ndarray, w_gate: np.ndarray, w_down: np.ndarray
-) -> tuple[np.ndarray, SwigluCache]:
-    """Y = (X @ W_up * swish(X @ W_gate)) @ W_down for X (B, d), with the
-    intermediates `swiglu_backward` needs. Inputs are not validated."""
+def swiglu_hidden(x: np.ndarray, w_up: np.ndarray, w_gate: np.ndarray) -> SwigluCache:
+    """H = X @ W_up * swish(X @ W_gate) for X (B, d), with the intermediates
+    `swiglu_backward` needs. Inputs are not validated."""
     a = x @ w_up
     b = x @ w_gate
     s = sigmoid(b)
     h = b * s
     h *= a
-    return h @ w_down, SwigluCache(a, b, s, h)
+    return SwigluCache(a, b, s, h)
+
+
+def swiglu_forward(
+    x: np.ndarray, w_up: np.ndarray, w_gate: np.ndarray, w_down: np.ndarray
+) -> tuple[np.ndarray, SwigluCache]:
+    """Y = H @ W_down for X (B, d), with the `swiglu_hidden` cache."""
+    cache = swiglu_hidden(x, w_up, w_gate)
+    return cache.h @ w_down, cache
 
 
 def swiglu_backward(
@@ -124,8 +129,8 @@ def swiglu_backward(
 
 
 def ffn_forward(ffn: DenseFfn, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Returns (y, h) for x (d,) or (Y, H) for a batch X (B, d). h is exposed
-    because importance scoring consumes it."""
+    """Returns (y, h) for x (d,) or (Y, H) for a batch X (B, d), validating
+    the input."""
     xs, single = as_rows(x, ffn.d)
     y, cache = swiglu_forward(xs, ffn.w_up, ffn.w_gate, ffn.w_down)
     return (y[0], cache.h[0]) if single else (y, cache.h)

@@ -2,10 +2,11 @@
 
 Each sample contributes |h * grad_h| to the running importance vector,
 where h is the FFN's intermediate activation and grad_h the loss gradient
-pulled back from the output (the first-order Taylor criterion). The loss
-itself is abstracted: callers supply grad_y per sample (for a squared-error
-loss, grad_y = y - target). Samples are (x, grad_y) pairs, held as one
-(N, 2, d) array, and a group is scored EVAL_ROWS rows at a time.
+pulled back from the output (the first-order Taylor criterion; it never
+needs the output y itself). The loss is abstracted: callers supply grad_y
+per sample (for a squared-error loss, grad_y = y - target). Samples are
+(x, grad_y) pairs, held as one (N, 2, d) array, checked once, and a group
+is scored EVAL_ROWS rows at a time.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dense_ffn import DenseFfn, ffn_forward, ffn_output_grad_to_h, row_chunks
+from .dense_ffn import DenseFfn, row_chunks, swiglu_hidden
 from .partition import kmeans
 from .tensor import Rng, ShapeError
 
@@ -54,11 +55,14 @@ def accumulate_importance(
     Rows are added one after another, in order, whatever the chunking."""
     if len(v.values) != ffn.d_h:
         raise ShapeError(f"importance vector length {len(v.values)} != d_h {ffn.d_h}")
-    pairs = np.asarray(group.samples, dtype=np.float64).reshape(-1, 2, ffn.d)
+    # one pair per sample: a pair of any other length fails to reshape
+    pairs = np.asarray(group.samples, dtype=np.float64).reshape(len(group.samples), 2, ffn.d)
+    if not np.all(np.isfinite(pairs)):
+        raise ValueError("samples must be finite")
     values = v.values
     for chunk in row_chunks(pairs):
-        _, h = ffn_forward(ffn, chunk[:, 0])
-        grad_h = ffn_output_grad_to_h(ffn, chunk[:, 1])
+        h = swiglu_hidden(chunk[:, 0], ffn.w_up, ffn.w_gate).h
+        grad_h = chunk[:, 1] @ ffn.w_down.T
         values = np.vstack((values, np.abs(h * grad_h))).sum(axis=0)
     return ImportanceVector(values=values, samples_seen=v.samples_seen + len(pairs))
 

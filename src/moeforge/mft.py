@@ -54,9 +54,10 @@ def read_mft(path: str) -> dict[str, np.ndarray]:
             raise MftError(f"bad magic {magic!r}, expected {MAGIC!r}")
 
         def take(nbytes: int, what: str) -> bytes:
-            if nbytes > size - f.tell():
+            # a read's own length catches a file cut after the size was taken
+            if nbytes > size - f.tell() or len(data := f.read(nbytes)) != nbytes:
                 raise MftError(f"truncated {what}")
-            return f.read(nbytes)
+            return data
 
         (count,) = struct.unpack("<I", take(4, "file"))
         tensors: dict[str, np.ndarray] = {}

@@ -50,13 +50,6 @@ class TokenRouting:
     weights: tuple[float, ...]
 
 
-def top_k(logits: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Each row's k largest logits: their indices in ascending order (ties
-    to the lower index, see `top_k_indices`) and the softmax over them."""
-    top = top_k_indices(logits, k)
-    return top, softmax(np.take_along_axis(logits, top, axis=-1))
-
-
 def route(
     gate: GateNetwork, x: np.ndarray, rng: Rng | None = None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -64,8 +57,9 @@ def route(
     (B, k) and its softmax weights (B, k).
 
     Noisy logits: (x @ w_g)_i + eps_i * softplus((x @ w_noise)_i) with
-    eps ~ N(0,1) drawn row by row when noise is enabled. Selection and
-    weights use the noisy logits; the returned logits are the clean ones.
+    eps ~ N(0,1) drawn row by row when noise is enabled. Selection
+    (`top_k_indices`) and the softmax weights use the noisy logits; the
+    returned logits are the clean ones.
     """
     logits = x @ gate.w_g
     noisy = logits
@@ -73,8 +67,8 @@ def route(
         if rng is None:
             raise ValueError("noisy gate requires an rng")
         noisy = logits + rng.normal_array(logits.shape) * softplus(x @ gate.w_noise)
-    top, g = top_k(noisy, gate.k)
-    return logits, top, g
+    top = top_k_indices(noisy, gate.k)
+    return logits, top, softmax(np.take_along_axis(noisy, top, axis=-1))
 
 
 def gate_forward(
@@ -92,29 +86,27 @@ def gate_forward(
 
 @dataclass
 class MoeLayer:
-    """N experts + gate + fixed N/k output scale; optional always-on
+    """N experts + gate, outputs re-scaled by N/k; optional always-on
     residual expert (sharing_inter partitions)."""
 
     experts: list[ExpertFfn]
     gate: GateNetwork
-    scale_factor: float
     residual_expert: ExpertFfn | None = None
 
     def __post_init__(self):
+        # the gate holds 1 <= k <= N, so this also rules out N = 0
         n = len(self.experts)
-        if n < 1:
-            raise ValueError("need at least one expert")
         if self.gate.n_experts != n:
             raise ShapeError(f"gate sized for {self.gate.n_experts} experts, layer has {n}")
-        if self.gate.k > n:
-            raise ValueError("k exceeds expert count")
-        expected = n / self.gate.k
-        if self.scale_factor != expected:
-            raise ValueError(f"scale_factor must be N/k = {expected}")
 
     @property
     def n_experts(self) -> int:
         return len(self.experts)
+
+    @property
+    def scale_factor(self) -> float:
+        """N/k: compensates for the k of N experts that run per token."""
+        return len(self.experts) / self.gate.k
 
     @property
     def d(self) -> int:
@@ -209,16 +201,10 @@ def assemble_moe(
     """Slice experts per the partition and attach a fresh gate.
 
     gate_init "zeros" routes uniformly at step 0; "random" draws small
-    gaussian gate weights from the given seed.
+    gaussian gate weights from the given seed. The gate is built first, so
+    a bad k fails before any expert is sliced.
     """
     n = partition.n
-    if k > n:
-        raise ValueError(f"k={k} exceeds expert count n={n}")
-    experts = [slice_expert(ffn, s) for s in partition.sets]
-    residual = None
-    if partition.shared_residual:
-        residual = slice_expert(ffn, partition.shared_residual)
-
     if gate_init == "zeros":
         w_g = np.zeros((ffn.d, n))
     elif gate_init == "random":
@@ -226,6 +212,8 @@ def assemble_moe(
     else:
         raise ValueError(f"unknown gate_init {gate_init!r}")
     gate = GateNetwork(w_g=w_g, w_noise=np.zeros((ffn.d, n)), k=k)
-    return MoeLayer(
-        experts=experts, gate=gate, scale_factor=n / k, residual_expert=residual
-    )
+    experts = [slice_expert(ffn, s) for s in partition.sets]
+    residual = None
+    if partition.shared_residual:
+        residual = slice_expert(ffn, partition.shared_residual)
+    return MoeLayer(experts=experts, gate=gate, residual_expert=residual)

@@ -43,10 +43,9 @@ class ExpertPartition:
 
     def __post_init__(self):
         for s in self.sets:
-            _check_index_set(s, self.d_h)
-        r = np.asarray(self.shared_residual)
-        if r.size and (r.min() < 0 or r.max() >= self.d_h):
-            raise ValueError("residual index out of range")
+            check_index_set(s, self.d_h)
+        if self.shared_residual:
+            check_index_set(self.shared_residual, self.d_h)
 
     @property
     def n(self) -> int:
@@ -64,28 +63,29 @@ class ExpertPartition:
         return sum(len(a & b) / self.m for a, b in pairs) / len(pairs)
 
 
-def _check_index_set(s, d_h: int) -> np.ndarray:
+def check_index_set(s, d_h: int | None) -> np.ndarray:
     """`s` as an array, or ValueError unless it is a nonempty, strictly
-    increasing run of indices in [0, d_h)."""
+    increasing run of indices in [0, d_h) (nonnegative when d_h is None)."""
     idx = np.asarray(s)
     if idx.ndim != 1 or idx.size == 0:
         raise ValueError("expert index set must be a nonempty vector")
     if np.any(np.diff(idx) <= 0):
         raise ValueError("expert index set must be strictly increasing")
-    if idx.min() < 0 or idx.max() >= d_h:
-        raise ValueError(f"index out of range [0, {d_h})")
+    if idx[0] < 0 or (d_h is not None and idx[-1] >= d_h):
+        raise ValueError(f"index out of range [0, {'inf' if d_h is None else d_h})")
     return idx
 
 
-def _check_divides(d_h: int, n: int) -> int:
+def check_divides(d_h: int, n: int) -> int:
+    """The expert size m = d_h / n, or ValueError unless n divides d_h."""
     if n < 1 or d_h % n != 0:
-        raise ValueError(f"expert count {n} must divide d_h={d_h} for independent splits")
+        raise ValueError(f"expert count {n} must divide d_h={d_h}")
     return d_h // n
 
 
 def split_independent_random(d_h: int, n: int, rng: Rng) -> ExpertPartition:
     """Uniform random permutation of 0..d_h-1 chunked into n blocks of m."""
-    m = _check_divides(d_h, n)
+    m = check_divides(d_h, n)
     perm = rng.shuffle(list(range(d_h)))
     sets = tuple(tuple(sorted(perm[j * m:(j + 1) * m])) for j in range(n))
     return ExpertPartition(sets=sets, d_h=d_h, method=PartitionMethod.INDEPENDENT_RANDOM)
@@ -146,7 +146,7 @@ def _balanced_assign(dist: np.ndarray, m: int) -> np.ndarray:
 def split_independent_clustering(ffn: DenseFfn, n: int, rng: Rng) -> ExpertPartition:
     """Balanced k-means over per-neuron W_up vectors (the columns of W_up),
     exactly m per cluster."""
-    m = _check_divides(ffn.d_h, n)
+    m = check_divides(ffn.d_h, n)
     assign = kmeans(ffn.w_up.T.copy(), n, rng, lambda dist: _balanced_assign(dist, m))
     sets = tuple(tuple(int(i) for i in np.flatnonzero(assign == c)) for c in range(n))
     return ExpertPartition(sets=sets, d_h=ffn.d_h, method=PartitionMethod.INDEPENDENT_CLUSTERING)
@@ -200,11 +200,12 @@ def split_sharing_inter(
 
 def slice_expert(ffn: DenseFfn, s) -> ExpertFfn:
     """Cut an expert out of the dense FFN: columns s of W_up/W_gate, rows s
-    of W_down, in index order."""
-    cols = _check_index_set(s, ffn.d_h).astype(int)
+    of W_down, in index order, each a new row-major array (`w[:, cols]`
+    would be column-major)."""
+    cols = check_index_set(s, ffn.d_h).astype(int)
     return ExpertFfn(
-        w_up=ffn.w_up[:, cols].copy(),
-        w_gate=ffn.w_gate[:, cols].copy(),
-        w_down=ffn.w_down[cols, :].copy(),
+        w_up=np.take(ffn.w_up, cols, axis=1),
+        w_gate=np.take(ffn.w_gate, cols, axis=1),
+        w_down=ffn.w_down[cols],
         source_indices=tuple(cols.tolist()),
     )

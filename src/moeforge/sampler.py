@@ -3,7 +3,6 @@
 Static modes keep their weights fixed for the whole run. Dynamic modes
 reweight every `update_interval_tokens` tokens by excess loss against a
 reference model: w_i proportional to ref_w_i * exp(max(loss_i - ref_loss_i, 0)).
-Filtering is modelled as externally supplied per-document masks.
 """
 
 from __future__ import annotations
@@ -181,11 +180,3 @@ def schedule_log(
         step += count
     return pieces
 
-
-def apply_filter_mask(stream: list, mask: list[bool]) -> list:
-    """Drop documents whose flag is set, preserving order."""
-    if len(stream) != len(mask):
-        raise ValueError(
-            f"mask length {len(mask)} != document count {len(stream)}"
-        )
-    return [doc for doc, drop in zip(stream, mask) if not drop]

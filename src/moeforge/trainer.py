@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dense_ffn import EVAL_ROWS, DenseFfn, ExpertFfn, ffn_forward, swiglu_backward
-from .moe import GateNetwork, MoeLayer, assemble_moe, cv_squared, dispatch, moe_forward, top_k
+from .moe import GateNetwork, MoeLayer, assemble_moe, cv_squared, dispatch, moe_forward, route
 from .partition import ExpertPartition
 from .tensor import Rng, as_matrix, softmax
 
@@ -38,6 +38,9 @@ class DivergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class TrainConfig:
+    """Trainer settings; batches cycle through `num_samples` inputs, by
+    default the larger of batch_size and 64."""
+
     lr_max: float = 2e-4
     lr_final: float = 2e-5
     warmup_steps: int = 100
@@ -45,23 +48,28 @@ class TrainConfig:
     batch_size: int = 32
     balance_coeff: float = 0.01
     seed: int = 0
+    num_samples: int | None = None
 
     def __post_init__(self):
-        for name in ("warmup_steps", "total_steps", "batch_size", "seed"):
-            if not isinstance(getattr(self, name), int):
+        if self.num_samples is None and type(self.batch_size) is int:
+            object.__setattr__(self, "num_samples", max(self.batch_size, 64))
+        # exact types: a bool (JSON true/false) is an int subclass, not a count
+        for name in ("warmup_steps", "total_steps", "batch_size", "seed", "num_samples"):
+            if type(getattr(self, name)) is not int:
                 raise ValueError(f"{name} must be an integer")
         for name in ("lr_max", "lr_final", "balance_coeff"):
-            if not isinstance(getattr(self, name), (int, float)):
-                raise ValueError(f"{name} must be a number")
-        for name in ("total_steps", "batch_size"):
+            value = getattr(self, name)
+            if type(value) not in (int, float) or not math.isfinite(value):
+                raise ValueError(f"{name} must be a finite number")
+        for name in ("total_steps", "batch_size", "num_samples"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1")
         if self.lr_max < 0 or self.lr_final < 0:
             raise ValueError("learning rates must be nonnegative")
         if self.lr_final > self.lr_max:
             raise ValueError("lr_final must not exceed lr_max")
-        if self.warmup_steps > self.total_steps:
-            raise ValueError("warmup_steps must not exceed total_steps")
+        if not 0 <= self.warmup_steps <= self.total_steps:
+            raise ValueError("warmup_steps must lie in [0, total_steps]")
 
 
 @dataclass
@@ -113,7 +121,8 @@ def batch_loss_and_grads(
     xs,
     balance_coeff: float,
 ) -> tuple[float, LayerGrads, dict]:
-    """Exact loss and analytic gradients for one batch (gate noise off).
+    """Exact loss and analytic gradients for one batch. The gate's noise
+    must be off: `route` refuses a noisy gate without an rng.
 
     `xs` is a list of (d,) inputs or a (B, d) array. Tokens are grouped by
     selected expert, so each expert runs one forward and one backward over
@@ -125,8 +134,7 @@ def batch_loss_and_grads(
     scale = layer.scale_factor
 
     target, _ = ffn_forward(teacher, x)
-    logits = x @ layer.gate.w_g
-    top, g = top_k(logits, layer.gate.k)
+    logits, top, g = route(layer.gate, x)
     y, groups, res_cache = dispatch(layer, x, top, g)
     resid = y - target
     mse = 0.5 * float(np.einsum("bd,bd->", resid, resid)) / batch
@@ -256,12 +264,7 @@ def random_init_like(layer: MoeLayer, rng: Rng) -> MoeLayer:
         w_noise=np.zeros_like(layer.gate.w_noise),
         k=layer.gate.k,
     )
-    return MoeLayer(
-        experts=experts,
-        gate=gate,
-        scale_factor=layer.scale_factor,
-        residual_expert=residual,
-    )
+    return MoeLayer(experts=experts, gate=gate, residual_expert=residual)
 
 
 def compare_from_scratch(
@@ -270,14 +273,12 @@ def compare_from_scratch(
     cfg: TrainConfig,
     rng: Rng,
     k: int | None = None,
-    num_samples: int | None = None,
 ) -> tuple[TrainReport, TrainReport]:
     """Train a split-initialized layer and a randomly initialized layer of
-    identical shape on the same data; returns (split_report, scratch_report)."""
+    identical shape on the same cfg.num_samples inputs; returns both reports."""
     if k is None:
         k = partition.n
-    count = num_samples if num_samples is not None else max(cfg.batch_size, 64)
-    data = rng.normal_array((count, teacher.d))
+    data = rng.normal_array((cfg.num_samples, teacher.d))
 
     split_layer = assemble_moe(teacher, partition, k=k)
     scratch_layer = random_init_like(split_layer, rng)

@@ -10,6 +10,7 @@ from moeforge.cli import (
     EXIT_OK,
     EXIT_USAGE,
     ffn_to_mft,
+    layer_from_tensors,
     layer_to_tensors,
     main,
     partition_from_json,
@@ -17,9 +18,10 @@ from moeforge.cli import (
     write_layer,
 )
 from moeforge.dense_ffn import DenseFfn, ffn_forward
-from moeforge.mft import read_mft, write_mft
+from moeforge.mft import MftError, read_mft, write_mft
 from moeforge.moe import assemble_moe, moe_forward
 from moeforge.partition import split_independent_random, split_sharing_inter
+from moeforge.sampler import DEFAULT_DOMAINS
 from moeforge.tensor import Rng
 
 
@@ -101,6 +103,20 @@ class TestSplit:
             ]
         )
         assert code == EXIT_DATA
+
+    @pytest.mark.parametrize("topk", ["9", "0"])
+    def test_bad_topk_writes_no_file(self, teacher_file, tmp_path, topk):
+        path, _ = teacher_file
+        part, layer = tmp_path / "p.json", tmp_path / "l.mft"
+        code = run(
+            [
+                "split", "--ffn", path, "--method", "independent_random",
+                "--experts", "4", "--topk", topk, "--seed", "0",
+                "--out-partition", str(part), "--out-layer", str(layer),
+            ]
+        )
+        assert code == EXIT_DATA
+        assert not part.exists() and not layer.exists()
 
     def test_missing_tensor(self, tmp_path):
         bad = str(tmp_path / "bad.mft")
@@ -230,6 +246,11 @@ class TestTrain:
             {"batch_size": 0},
             {"lr-max": 0.1},
             {"total_steps": 2.5, "warmup_steps": 0},
+            {"total_steps": True, "warmup_steps": 0},
+            {"batch_size": True},
+            {"num_samples": True},
+            {"lr_max": float("nan")},
+            {"balance_coeff": float("inf")},
         ],
     )
     def test_bad_config_exits_data_error(self, teacher_file, tmp_path, overrides):
@@ -242,7 +263,7 @@ class TestTrain:
              "--config", cfg_path, "--out", out]
         )
         assert code == EXIT_DATA
-        assert not os.path.exists(os.path.join(out, "layer_final.mft"))
+        assert not os.path.exists(out)
 
     def test_missing_tensor_error(self, teacher_file, tmp_path):
         path, _ = teacher_file
@@ -312,6 +333,27 @@ class TestSchedule:
             run(["schedule", "--draws", "-1", "--out", out])
         assert exc.value.code == EXIT_USAGE
         assert not os.path.exists(out)
+
+    REFERENCE = json.dumps({d: 2.0 for d in DEFAULT_DOMAINS})
+
+    @pytest.mark.parametrize("flag,reference,observed", [
+        ("--reference-loss", "[2, 2, 2, 2, 2, 2, 2]", "[]"),
+        ("--reference-loss", REFERENCE.replace("2.0", "{}", 1), "[]"),
+        ("--observed-loss", REFERENCE, '[{"C4": 3.0}]'),
+        ("--observed-loss", REFERENCE, "3.0"),
+    ], ids=["reference-list", "reference-object-value", "observed-object-row", "observed-number"])
+    def test_malformed_loss_json_exits_data_error(
+        self, tmp_path, capsys, flag, reference, observed
+    ):
+        (tmp_path / "ref.json").write_text(reference)
+        (tmp_path / "obs.json").write_text(observed)
+        out = tmp_path / "dyn.csv"
+        code = run(["schedule", "--preset", "uniform", "--mode", "dynamic",
+                    "--reference-loss", str(tmp_path / "ref.json"),
+                    "--observed-loss", str(tmp_path / "obs.json"), "--out", str(out)])
+        assert code == EXIT_DATA
+        assert flag in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("preset", [
         '{"a": NaN, "b": 1}', '{"a": Infinity, "b": 1}', '{"a": 0, "b": 0}',
@@ -397,6 +439,16 @@ class TestLayerFile:
         tensors[name] = np.array(value, dtype=np.float64)
         assert self.train(teacher_file, tmp_path, tensors) == EXIT_DATA
         assert name in capsys.readouterr().err
+
+    def test_indices_unbounded_without_a_teacher(self, teacher_file):
+        tensors = self.tensors(teacher_file[1])
+        tensors["expert.1.indices"] = np.array([8, 9, 10, 11, 12, 13, 14, 99.0])
+        assert layer_from_tensors(tensors).experts[1].source_indices[-1] == 99
+        with pytest.raises(MftError, match="expert.1.indices"):
+            layer_from_tensors(tensors, teacher_d_h=16)
+        tensors["expert.1.indices"] = np.array([8, 9, 10, 11, 12, 14, 13, 99.0])
+        with pytest.raises(MftError, match="strictly increasing"):
+            layer_from_tensors(tensors)
 
     @pytest.mark.parametrize(
         "name", ["residual.w_gate", "residual.indices", "expert.1.w_down"]

@@ -82,6 +82,23 @@ class TestAccumulate:
             accumulate_importance(ffn, DataGroup(id="g"), ImportanceVector.zeros(7))
 
 
+    @pytest.mark.parametrize("shape", [(4, 2, 3), (2, 3, 4), (6,)])
+    def test_samples_must_be_pairs_of_length_d(self, shape):
+        # 24 values would reshape into three pairs of length 4 if only the
+        # total counted
+        ffn = DenseFfn.random(4, 8, Rng(6))
+        group = DataGroup(id="g", samples=np.zeros(shape))
+        with pytest.raises(ValueError):
+            accumulate_importance(ffn, group, ImportanceVector.zeros(8))
+
+    def test_samples_must_be_finite(self):
+        ffn = DenseFfn.random(4, 8, Rng(6))
+        pairs = np.zeros((3, 2, 4))
+        pairs[2, 1, 0] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            accumulate_importance(ffn, DataGroup(id="g", samples=pairs), ImportanceVector.zeros(8))
+
+
 class TestGrouping:
     def test_single_group(self):
         samples = [Rng(7).normal_array((3,)) for _ in range(5)]

@@ -1,5 +1,6 @@
-"""Every module imports on its own, and no function imports at call time:
-a call-time import is how a cycle between two modules hides."""
+"""Every module imports on its own, no function imports at call time (a
+call-time import is how a cycle between two modules hides), and every
+top-level import is used."""
 
 import ast
 import os
@@ -36,3 +37,18 @@ def test_no_import_inside_a_function():
                     if isinstance(node, (ast.Import, ast.ImportFrom))
                 ]
     assert not found, found
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_every_top_level_import_is_used(module):
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text())
+    imported = {}
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                imported[(alias.asname or alias.name).split(".")[0]] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    unused = [f"{module}.py:{line} {name}" for name, line in imported.items() if name not in used]
+    assert not unused, unused

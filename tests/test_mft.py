@@ -1,9 +1,11 @@
 import struct
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from moeforge import mft
 from moeforge.mft import MftError, read_mft, write_mft
 from moeforge.tensor import Rng
 
@@ -62,6 +64,19 @@ class TestErrors:
             f.write(data[:-8])
         with pytest.raises(MftError):
             read_mft(path)
+
+    @pytest.mark.parametrize("cut", [86, 90, 96])
+    def test_file_shorter_than_its_size_at_open(self, tmp_path, monkeypatch, cut):
+        # a file cut while it is read: os.fstat still reports the full size,
+        # so only the length of what each read returned shows the cut
+        path = tmp_path / "t.mft"
+        write_mft(str(path), {"a": np.ones((2, 3)), "b": np.ones(4)})
+        full = path.stat().st_size
+        path.write_bytes(path.read_bytes()[:cut])
+        stat = SimpleNamespace(st_size=full)
+        monkeypatch.setattr(mft, "os", SimpleNamespace(fstat=lambda fd: stat))
+        with pytest.raises(MftError, match="truncated"):
+            read_mft(str(path))
 
     def test_trailing_bytes(self, tmp_path):
         path = str(tmp_path / "t.mft")

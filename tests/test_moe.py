@@ -4,7 +4,6 @@ import pytest
 from moeforge.dense_ffn import DenseFfn, ffn_forward
 from moeforge.moe import (
     GateNetwork,
-    MoeLayer,
     TokenRouting,
     assemble_moe,
     balance_loss,
@@ -209,13 +208,6 @@ class TestAssemble:
         assert not np.array_equal(rand.gate.w_g, np.zeros((4, 4)))
         with pytest.raises(ValueError):
             assemble_moe(ffn, part, k=2, gate_init="xavier")
-
-    def test_scale_factor_enforced(self):
-        ffn = DenseFfn.random(4, 8, Rng(23))
-        part = split_independent_random(8, 4, Rng(24))
-        layer = assemble_moe(ffn, part, k=2)
-        with pytest.raises(ValueError):
-            MoeLayer(experts=layer.experts, gate=layer.gate, scale_factor=3.0)
 
 
 class TestSoftplus:

@@ -189,6 +189,18 @@ class TestSliceExpert:
         with pytest.raises(ValueError):
             slice_expert(ffn, [5, 6])
 
+    def test_slices_are_row_major_copies(self):
+        # training updates expert weights in place, so a slice must never
+        # share memory with its teacher
+        ffn = DenseFfn.random(4, 6, Rng(23))
+        ex = slice_expert(ffn, [1, 3, 4])
+        for part in ("w_up", "w_gate", "w_down"):
+            w = getattr(ex, part)
+            assert w.flags["C_CONTIGUOUS"]
+            assert not np.shares_memory(w, getattr(ffn, part))
+        assert np.array_equal(ex.w_up, ffn.w_up[:, [1, 3, 4]])
+        assert np.array_equal(ex.w_down, ffn.w_down[[1, 3, 4]])
+
     def test_partition_sum_identity(self):
         # flagship: sum of expert outputs over a disjoint cover == dense FFN
         for seed in range(20):
@@ -201,6 +213,21 @@ class TestSliceExpert:
                 y, _ = ffn_forward(ffn, x)
                 total = sum(e.forward(x) for e in experts)
                 assert np.abs(total - y).max() <= 1e-9
+
+
+class TestIndexSets:
+    @pytest.mark.parametrize("residual", [(3, 1), (1, 1), (-1, 2), (2, 4)])
+    def test_residual_must_be_an_index_set(self, residual):
+        with pytest.raises(ValueError):
+            ExpertPartition(
+                sets=((0, 1),), d_h=4, method=PartitionMethod.SHARING_INTER,
+                shared_residual=residual,
+            )
+
+    @pytest.mark.parametrize("s", [(), (1, 0), (2, 2), (-1, 0), (0, 4)])
+    def test_expert_set_must_be_an_index_set(self, s):
+        with pytest.raises(ValueError):
+            ExpertPartition(sets=(s,), d_h=4, method=PartitionMethod.SHARING_INNER)
 
 
 class TestOverlapReport:

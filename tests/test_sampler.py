@@ -6,7 +6,6 @@ from moeforge.sampler import (
     DomainWeights,
     SamplerMode,
     SamplerState,
-    apply_filter_mask,
     dynamic_update,
     load_preset,
     next_domain,
@@ -147,20 +146,3 @@ class TestDynamicUpdate:
             _, state = next_domain(state, rng)
             assert np.array_equal(state.current.weights, start)
 
-
-class TestFilterMask:
-    DOCS = ["doc0", "doc1", "doc2", "doc3"]
-
-    def test_all_false_unchanged(self):
-        assert apply_filter_mask(self.DOCS, [False] * 4) == self.DOCS
-
-    def test_all_true_empty(self):
-        assert apply_filter_mask(self.DOCS, [True] * 4) == []
-
-    def test_half_removed_order_preserved(self):
-        out = apply_filter_mask(self.DOCS, [True, False, True, False])
-        assert out == ["doc1", "doc3"]
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            apply_filter_mask(self.DOCS, [True])

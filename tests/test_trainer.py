@@ -97,11 +97,22 @@ class TestLrSchedule:
             dict(lr_max=1e-3, lr_final=-1e-4),
             dict(batch_size=2.5),
             dict(lr_max="0.1"),
+            dict(total_steps=True, warmup_steps=0),
+            dict(num_samples=True),
+            dict(num_samples=0),
+            dict(lr_max=float("nan")),
+            dict(balance_coeff=float("inf")),
+            dict(warmup_steps=-5),
         ],
     )
     def test_rejected_config(self, kwargs):
         with pytest.raises(ValueError):
             TrainConfig(**kwargs)
+
+    def test_num_samples_defaults_to_batch_size_or_64(self):
+        assert TrainConfig(batch_size=8).num_samples == 64
+        assert TrainConfig(batch_size=100).num_samples == 100
+        assert TrainConfig(batch_size=100, num_samples=5).num_samples == 5
 
 
 class TestGradients:
