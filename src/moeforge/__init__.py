@@ -6,7 +6,7 @@ top-k gate and N/k re-scaling, distill the dense teacher back into it, and
 analyze routing specialization across data domains.
 """
 
-from .dense_ffn import DenseFfn, ExpertFfn, ffn_forward, ffn_output_grad_to_h
+from .dense_ffn import DenseFfn, ExpertFfn, ffn_forward
 from .importance import (
     DataGroup,
     ImportanceVector,

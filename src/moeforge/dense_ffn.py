@@ -135,10 +135,3 @@ def ffn_forward(ffn: DenseFfn, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     y, cache = swiglu_forward(xs, ffn.w_up, ffn.w_gate, ffn.w_down)
     return (y[0], cache.h[0]) if single else (y, cache.h)
 
-
-def ffn_output_grad_to_h(ffn: DenseFfn, grad_y: np.ndarray) -> np.ndarray:
-    """Chain rule through y = h @ W_down: grad_h = grad_y @ W_down^T, for
-    grad_y (d,) or a batch (B, d)."""
-    grads, single = as_rows(grad_y, ffn.d)
-    grad_h = grads @ ffn.w_down.T
-    return grad_h[0] if single else grad_h

@@ -155,7 +155,7 @@ def split_independent_clustering(ffn: DenseFfn, n: int, rng: Rng) -> ExpertParti
 def _top_m(values: np.ndarray, m: int, exclude: tuple[int, ...] = ()) -> tuple[int, ...]:
     """Indices of the m largest entries outside `exclude`, ascending; ties
     break toward the lower index."""
-    candidates = np.setdiff1d(np.arange(len(values)), exclude)
+    candidates = np.delete(np.arange(len(values)), exclude)  # a keep mask, not a sort
     if len(candidates) < m:
         raise ValueError(f"only {len(candidates)} candidates available, need {m}")
     return tuple(candidates[top_k_indices(values[candidates], m)].tolist())

@@ -9,12 +9,18 @@ contributes k counts (selections, not first choices).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice, repeat
 
 import numpy as np
 
 ROUTING_HEADER = ["token_id", "domain", "layer", "expert", "weight"]
-CHUNK_LINES = 8192
+# A plain file, which np.loadtxt reads as parse_routing_csv does: this header
+# line, then only LF and printable ASCII but space, '#' and '"'. VT, FF and
+# FS/GS/RS end a line for str.splitlines but not for loadtxt, a NUL ends an
+# `S` field early, '#' and '"' are comment and quote characters, and CR,
+# space and tab are left out so that no whitespace rule is relied on.
+_PLAIN_HEADER = (",".join(ROUTING_HEADER) + "\n").encode("ascii")
+_PLAIN_BYTES = bytes(range(0x21, 0x7F)).translate(None, b'#"') + b"\n"
+_PLAIN_PIECE = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -33,22 +39,29 @@ class RoutingRecord:
 class RoutingColumns:
     """Routing records column by column, as counting reads them: integer
     token ids, layers and experts (int64, or Python ints where one does not
-    fit) and domain labels. Gate weights are not counted, so not kept."""
+    fit) and each record's domain code: its index in the reader's domains,
+    or -1 for a label not among them, the first of which is `unknown`. Gate
+    weights are not counted, so not kept."""
 
     token_id: np.ndarray
-    domain: list[str]
+    code: np.ndarray
     layer: np.ndarray
     expert: np.ndarray
+    unknown: str | None = None
 
     def __len__(self) -> int:
-        return len(self.domain)
+        return len(self.code)
 
     @staticmethod
-    def from_records(records) -> "RoutingColumns":
-        rows = [(r.token_id, r.domain, r.layer, r.expert) for r in records]
-        token_id, domain, layer, expert = zip(*rows) if rows else ((),) * 4
+    def from_records(records, domains: tuple[str, ...]) -> "RoutingColumns":
+        index = {d: i for i, d in enumerate(domains)}
+        rows = [(r.token_id, index.get(r.domain, -1), r.layer, r.expert, r.domain)
+                for r in records]
+        token_id, code, layer, expert, domain = zip(*rows) if rows else ((),) * 5
+        unknown = next((d for d, c in zip(domain, code) if c < 0), None)
         return RoutingColumns(
-            _int_column(token_id), list(domain), _int_column(layer), _int_column(expert)
+            _int_column(token_id), np.array(code, dtype=np.intp),
+            _int_column(layer), _int_column(expert), unknown,
         )
 
 
@@ -90,12 +103,10 @@ def collect_routing(
     layer checked first, then its expert, then its domain label.
     """
     if not isinstance(records, RoutingColumns):
-        records = RoutingColumns.from_records(records)
-    token_id, domain = records.token_id, records.domain
+        records = RoutingColumns.from_records(records, domains)
+    token_id, code = records.token_id, records.code
     layer, expert = records.layer, records.expert
-    index = {d: i for i, d in enumerate(domains)}
     counts = np.zeros((n_layers, n_experts, len(domains)), dtype=np.int64)
-    code = np.fromiter(map(index.get, domain, repeat(-1)), dtype=np.intp, count=len(domain))
     bad_layer = ~((layer >= 0) & (layer < n_layers))
     bad_expert = ~((expert >= 0) & (expert < n_experts))
     bad = np.flatnonzero(bad_layer | bad_expert | (code < 0))
@@ -105,7 +116,7 @@ def collect_routing(
             raise ValueError(f"layer {layer[i]} out of range [0, {n_layers})")
         if bad_expert[i]:
             raise ValueError(f"expert {expert[i]} out of range [0, {n_experts})")
-        raise ValueError(f"unknown domain label {domain[i]!r}")
+        raise ValueError(f"unknown domain label {records.unknown!r}")
     flat = (layer.astype(np.intp) * n_experts + expert.astype(np.intp)) * len(domains) + code
     counts += np.bincount(flat, minlength=counts.size).reshape(counts.shape)
 
@@ -135,15 +146,8 @@ def parse_routing_csv(path: str, domains: tuple[str, ...]) -> list[RoutingRecord
         if len(parts) != 5:
             raise ValueError(f"line {lineno}: expected 5 fields, got {len(parts)}")
         try:
-            records.append(
-                RoutingRecord(
-                    token_id=int(parts[0]),
-                    domain=parts[1],
-                    layer=int(parts[2]),
-                    expert=int(parts[3]),
-                    weight=float(parts[4]),
-                )
-            )
+            records.append(RoutingRecord(  # fields in the order of the header
+                int(parts[0]), parts[1], int(parts[2]), int(parts[3]), float(parts[4])))
         except ValueError as err:
             raise ValueError(f"line {lineno}: {err}") from err
         if parts[1] not in domains:
@@ -152,51 +156,50 @@ def parse_routing_csv(path: str, domains: tuple[str, ...]) -> list[RoutingRecord
 
 
 def read_routing_csv(path: str, domains: tuple[str, ...]) -> RoutingColumns:
-    """The records of a routing CSV, column by column.
+    """The records of a routing CSV, column by column: a plain file by one
+    np.loadtxt call. Any other file, or one loadtxt does not take whole (a
+    bad field, an integer beyond int64, an unknown domain, ...), goes
+    through parse_routing_csv, which gives the same records or raises with
+    a line number."""
+    columns = _read_plain(path, domains) if _is_plain(path) else None
+    if columns is None:
+        columns = RoutingColumns.from_records(parse_routing_csv(path, domains), domains)
+    return columns
 
-    Lines are cut as `str.splitlines` cuts them and converted CHUNK_LINES
-    at a time with the same int/float builtins, so no object is built per
-    record. A file this reader does not take whole (a bad field, an integer
-    beyond int64, an unknown domain, ...) goes through parse_routing_csv
-    instead, which returns the same records or raises with a line number.
-    """
+
+def _read_plain(path: str, domains: tuple[str, ...]) -> RoutingColumns | None:
+    """The columns of a plain file, or None. Each label is cut to one byte
+    more than the longest domain, so a longer one matches none; a row whose
+    label matches no domain gives None."""
+    labels = [d.encode() for d in domains]
     try:
-        return _read_columns(path, domains)
-    except (ValueError, OverflowError, KeyError):
-        return RoutingColumns.from_records(parse_routing_csv(path, domains))
+        rows = np.loadtxt(
+            path, delimiter=",", skiprows=1, comments=None, quotechar=None,
+            ndmin=1, encoding="ascii",
+            dtype=[("token_id", "i8"), ("domain", f"S{max(map(len, labels), default=0) + 1}"),
+                   ("layer", "i8"), ("expert", "i8"), ("weight", "f8")],  # weights only checked
+        )
+    except ValueError:
+        return None
+    code = np.full(len(rows), -1, dtype=np.intp)
+    for i, label in enumerate(labels):  # the last of a repeated domain wins
+        code[(rows["domain"] == label) & (b"\0" not in label)] = i  # `S` drops trailing NULs
+    if code.min() < 0:
+        return None
+    return RoutingColumns(rows["token_id"], code, rows["layer"], rows["expert"])
 
 
-def _line_chunks(f):
-    """The lines of text file `f`, as `str.splitlines` cuts its whole text,
-    in lists of about CHUNK_LINES. Reading in text mode has already turned
-    each CR LF and CR into LF, and a chunk ends after an LF, so no cut
-    falls inside a line break."""
-    while text := "".join(islice(f, CHUNK_LINES)):
-        yield text.splitlines()
-
-
-def _read_columns(path: str, domains: tuple[str, ...]) -> RoutingColumns:
-    label = {d: d for d in domains}  # one str object per domain, not per record
-    token_id, domain, layer, expert = [], [], [], []
-    with open(path) as f:
-        for i, lines in enumerate(_line_chunks(f)):
-            if i == 0 and lines.pop(0).split(",") != ROUTING_HEADER:
-                raise ValueError("bad header")
-            lines = list(filter(str.strip, lines))  # skip blank lines
-            if any(c != 4 for c in map(str.count, lines, repeat(","))):
-                raise ValueError("a line without 5 fields")
-            fields = ",".join(lines).split(",") if lines else []
-            n = len(lines)
-            token_id.append(np.fromiter(map(int, fields[0::5]), np.int64, n))
-            domain += map(label.__getitem__, fields[1::5])
-            layer.append(np.fromiter(map(int, fields[2::5]), np.int64, n))
-            expert.append(np.fromiter(map(int, fields[3::5]), np.int64, n))
-            np.fromiter(map(float, fields[4::5]), np.float64, n)  # checked, not kept
-    empty = np.zeros(0, dtype=np.int64)
-    return RoutingColumns(
-        np.concatenate([empty, *token_id]), domain,
-        np.concatenate([empty, *layer]), np.concatenate([empty, *expert]),
-    )
+def _is_plain(path: str) -> bool:
+    """Whether the file is plain and has a record; read piece by piece."""
+    records = False
+    with open(path, "rb") as f:
+        if f.read(len(_PLAIN_HEADER)) != _PLAIN_HEADER:
+            return False
+        while piece := f.read(_PLAIN_PIECE):
+            if piece.translate(None, _PLAIN_BYTES):
+                return False
+            records = records or piece.count(b"\n") < len(piece)
+    return records
 
 
 def routing_l2_matrix(stats: RoutingStats, layer: int) -> np.ndarray:

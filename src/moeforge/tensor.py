@@ -120,22 +120,29 @@ def _xorshift(x: np.ndarray) -> np.ndarray:
 
 def _apply_gf2(cols: np.ndarray, x: np.ndarray) -> np.ndarray:
     """The GF(2)-linear map whose image of bit i is cols[i], applied to each
-    uint64 in x."""
-    bits = (x[:, None] >> np.arange(64, dtype=np.uint64)) & np.uint64(1)
-    return np.bitwise_xor.reduce(bits * cols, axis=1)
+    uint64 in x: the xor of one lookup per byte of x, in tables of the
+    images of all 256 values of each byte."""
+    value_bits = (np.arange(256, dtype=np.uint64)[:, None] >> np.arange(8, dtype=np.uint64)) & 1
+    table = np.bitwise_xor.reduce(value_bits * cols.reshape(8, 1, 8), axis=2)  # [byte][value]
+    x_bytes = np.ascontiguousarray(x, dtype="<u8").view(np.uint8).reshape(-1, 8)
+    return np.bitwise_xor.reduce(table[np.arange(8), x_bytes], axis=1)
 
 
 @functools.cache
-def _jump_cols(k: int) -> np.ndarray:
-    """Columns of the xorshift step raised to the power 2**k: the step is
-    linear over GF(2), so this map jumps a state 2**k draws ahead."""
-    if k == 0:
-        cols = _xorshift(np.uint64(1) << np.arange(64, dtype=np.uint64))
-    else:
-        half = _jump_cols(k - 1)
-        cols = _apply_gf2(half, half)
-    cols.setflags(write=False)  # cached and shared by every Rng
-    return cols
+def _lane_jumps(k: int) -> np.ndarray:
+    """(_LANES, 64): row j holds the columns of the xorshift step to the
+    power j * 2**k, the jump to lane j of a block of 2**k-draw lanes. A map
+    applied to its own columns is squared; rows [2**a, 2**(a+1)) are rows
+    [0, 2**a) after the jump of 2**(k+a) draws."""
+    table = (np.uint64(1) << np.arange(64, dtype=np.uint64))[None, :]  # the identity
+    jump = _xorshift(table[0].copy())
+    for _ in range(k):
+        jump = _apply_gf2(jump, jump)
+    while len(table) < _LANES:
+        table = np.concatenate([table, _apply_gf2(jump, table.reshape(-1)).reshape(table.shape)])
+        jump = _apply_gf2(jump, jump)
+    table.setflags(write=False)  # cached and shared by every Rng
+    return table
 
 
 def _splitmix64(x: int) -> tuple[int, int]:
@@ -248,17 +255,14 @@ class Rng:
         """The next `count` next_u64() outputs as uint64, advancing the state.
 
         The stream is cut into `lanes` contiguous runs of `steps` draws. Each
-        run's start state comes from jump-ahead maps of the xorshift step,
-        and then all runs step together.
+        run's start state is the current state under the run's jump-ahead
+        map from `_lane_jumps`, and then all runs step together.
         """
         steps = 1 << (-(-count // _LANES) - 1).bit_length()
         lanes = -(-count // steps)
-        states = np.array([self._state], dtype=np.uint64)
-        k = steps.bit_length() - 1
-        while len(states) < lanes:
-            states = np.concatenate([states, _apply_gf2(_jump_cols(k), states)])
-            k += 1
-        states = states[:lanes]
+        bits = (np.uint64(self._state) >> np.arange(64, dtype=np.uint64)) & np.uint64(1)
+        table = _lane_jumps(steps.bit_length() - 1)
+        states = np.bitwise_xor.reduce(table[:lanes, bits.astype(bool)], axis=1)
         out = np.empty((lanes, steps), dtype=np.uint64)
         last_lane, last_step = divmod(count - 1, steps)
         mul = np.uint64(_XS_MUL)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from moeforge.dense_ffn import DenseFfn, ffn_forward, ffn_output_grad_to_h
+from moeforge.dense_ffn import DenseFfn, ffn_forward
 from moeforge.tensor import Rng, ShapeError, swish
 
 SIGMOID_1 = 0.7310585786300049
@@ -61,37 +61,3 @@ class TestForward:
         lhs = (h1 + h2) @ ffn.w_down
         rhs = h1 @ ffn.w_down + h2 @ ffn.w_down
         assert np.abs(lhs - rhs).max() < 1e-12
-
-
-class TestGradToH:
-    def test_zero_gradient(self):
-        ffn = DenseFfn.random(4, 6, Rng(5))
-        assert np.array_equal(ffn_output_grad_to_h(ffn, np.zeros(4)), np.zeros(6))
-
-    def test_scalar_chain_rule(self):
-        ffn = DenseFfn(w_up=[[1.0]], w_gate=[[1.0]], w_down=[[2.0]])
-        assert ffn_output_grad_to_h(ffn, np.array([3.0]))[0] == 6.0
-
-    def test_finite_differences(self):
-        # L(h) = 0.5 * ||h @ W_down - target||^2; check grad_h via central FD
-        rng = Rng(6)
-        ffn = DenseFfn.random(4, 6, rng)
-        h = rng.normal_array((6,))
-        target = rng.normal_array((4,))
-        grad_y = h @ ffn.w_down - target
-        analytic = ffn_output_grad_to_h(ffn, grad_y)
-
-        eps = 1e-5
-        for j in range(6):
-            hp, hm = h.copy(), h.copy()
-            hp[j] += eps
-            hm[j] -= eps
-            lp = 0.5 * np.sum((hp @ ffn.w_down - target) ** 2)
-            lm = 0.5 * np.sum((hm @ ffn.w_down - target) ** 2)
-            fd = (lp - lm) / (2 * eps)
-            assert abs(analytic[j] - fd) <= 1e-6 * max(1.0, abs(fd))
-
-    def test_shape_mismatch(self):
-        ffn = DenseFfn.random(4, 6, Rng(7))
-        with pytest.raises(ShapeError):
-            ffn_output_grad_to_h(ffn, np.zeros(6))

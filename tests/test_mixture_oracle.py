@@ -20,8 +20,14 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from moeforge import cli
-from moeforge.routing import RoutingRecord, RoutingStats, parse_routing_csv, read_routing_csv
+from moeforge import cli, routing
+from moeforge.routing import (
+    RoutingColumns,
+    RoutingRecord,
+    RoutingStats,
+    parse_routing_csv,
+    read_routing_csv,
+)
 from moeforge.sampler import (
     DEFAULT_DOMAINS,
     SamplerMode,
@@ -406,13 +412,147 @@ def test_analyze_files_identical(text):
 
 
 def test_analyze_chunk_edges_identical():
-    # blank lines and a bad line on either side of the chunk boundary
+    # blank lines and a bad line in the middle of a long file
     rows = [f"{t},C4,{t % 3},{t % 4},0.5" for t in range(20000)]
     rows[8190] = ""
     rows[8192] = "   "
     assert_analyze_matches(csv_text(rows), [])
     rows[8193] = "7,C4,0,0"
     assert_analyze_matches(csv_text(rows), [])
+
+
+def read_both(data: bytes, domains=DEFAULT_DOMAINS):
+    """Which path `read_routing_csv` takes for a file holding `data`, and
+    its columns or error, which must be those of the per-line parser."""
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "routing.csv")
+        with open(path, "wb") as f:
+            f.write(data)
+        results = []
+        for read in (read_routing_csv,
+                     lambda p, ds: RoutingColumns.from_records(parse_routing_csv(p, ds), ds)):
+            try:
+                c = read(path, domains)
+                results.append([(a.dtype, a.tolist()) for a in
+                                (c.token_id, c.code, c.layer, c.expert)] + [c.unknown])
+            except ValueError as err:
+                results.append(str(err))
+        taken = routing._is_plain(path) and routing._read_plain(path, domains) is not None
+    assert results[0] == results[1]
+    return ("loadtxt" if taken else "fallback"), results[0]
+
+
+# every byte the plain-file gate refuses, by kind: line breaks of
+# str.splitlines, space and tab, NUL, comment and quote characters, and a
+# non-ASCII digit
+GATE_BYTES = ["\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", " ", "\t",
+              "\x00", "#", '"', "\u0661"]
+
+
+def field_edges(line: str) -> list[int]:
+    """Where each field of `line` starts and ends."""
+    return [0, len(line)] + [i + j for i, c in enumerate(line) if c == "," for j in (0, 1)]
+
+
+GATE_CASES = {
+    # one file per gate rule
+    "space in a field": (["1,C4,0,0, 0.5"], "fallback"),
+    "space around a label": (["1, C4,0,0,0.5"], "fallback"),
+    "tab": (["1,C4,0,0,0.5\t"], "fallback"),
+    "hash": (["1,C4,0,0,0.5#x"], "fallback"),
+    "quote": (['1,"C4",0,0,0.5'], "fallback"),
+    "CR": (["1,C4,0,0,0.5\r2,C4,0,1,0.5"], "fallback"),
+    "VT": (["1,C4,0,0,0.5\x0b2,C4,0,1,0.5"], "fallback"),
+    "FF": (["1,C4,0,0,0.5\x0c2,C4,0,1,0.5"], "fallback"),
+    "FS": (["1,C4,0,0,0.5\x1c2,C4,0,1,0.5"], "fallback"),
+    "GS": (["1,C4,0,0,0.5\x1d2,C4,0,1,0.5"], "fallback"),
+    "RS": (["1,C4,0,0,0.5\x1e2,C4,0,1,0.5"], "fallback"),
+    "NUL after a label": (["1,C4\x00,0,0,0.5"], "fallback"),
+    "NUL inside a label": (["1,C\x004,0,0,0.5"], "fallback"),
+    "non-ASCII digit": (["\u0661,C4,0,0,0.5", "\uff12,C4,0,1,0.5"], "fallback"),
+    # integer fields
+    "plus sign": (["+5,C4,+0,+1,0.5"], "loadtxt"),
+    "leading zeros": (["007,C4,00,01,0.5"], "loadtxt"),
+    "minus zero": (["-0,C4,-0,-0,0.5"], "loadtxt"),
+    "int64 edges": ([f"{2**63 - 1},C4,0,0,0.5", f"{-2**63},C4,0,1,0.5"], "loadtxt"),
+    "beyond int64": ([f"{2**63},C4,0,0,0.5", "1,C4,0,1,0.5"], "fallback"),
+    "beyond int64 layer": ([f"1,C4,{2**64},0,0.5"], "fallback"),
+    "underscore int": (["1_0,C4,0,0,0.5"], "fallback"),
+    "float as int": (["1.0,C4,0,0,0.5"], "fallback"),
+    # weights
+    "nan and inf": (["1,C4,0,0,nan", "2,C4,0,1,inf", "3,C4,0,2,-inf"], "loadtxt"),
+    "exponent": (["1,C4,0,0,1e5", "2,C4,0,1,-2.5E-3"], "loadtxt"),
+    "underscore weight": (["1,C4,0,0,1_0"], "fallback"),
+    "bad weight": (["1,C4,0,0,heavy"], "fallback"),
+    # labels
+    "one byte longer than any domain": (["1,StackExchangeX,0,0,0.5"], "fallback"),
+    "longer than any domain": (["1,StackExchangeXYZ,0,0,0.5"], "fallback"),
+    "known label as a prefix": (["1,C4x,0,0,0.5"], "fallback"),
+    "empty label": (["1,,0,0,0.5"], "fallback"),
+    # layout
+    "blank lines": (["", "1,C4,0,0,0.5", "", "", "2,arXiv,1,3,0.5", ""], "loadtxt"),
+    "short line": (["1,C4,0,0"], "fallback"),
+    "long line": (["1,C4,0,0,0.5,"], "fallback"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GATE_CASES))
+def test_gate_cases_match_per_line_parser(name):
+    rows, path = GATE_CASES[name]
+    assert read_both(csv_text(rows).encode())[0] == path
+
+
+@pytest.mark.parametrize("data, path", [
+    (b"token_id,domain,layer,expert,weight\n1,C4,0,0,0.5", "loadtxt"),  # no final newline
+    (b"token_id,domain,layer,expert,weight\n", "fallback"),  # header only
+    (b"token_id,domain,layer,expert,weight", "fallback"),
+    (b"token_id,domain,layer,expert,weight\n\n\n", "fallback"),  # no record
+    (b"token_id,domain,layer,expert,weight\r\n1,C4,0,0,0.5\r\n", "fallback"),  # CRLF
+    (b"token_id,domain,layer,expert,weigh\n1,C4,0,0,0.5\n", "fallback"),
+    (b"token_id,domain,layer,expert\n1,C4,0,0\n", "fallback"),
+])
+def test_gate_layouts_match_per_line_parser(data, path):
+    assert read_both(data)[0] == path
+
+
+def test_gate_domains_match_per_line_parser():
+    text = csv_text(["1,a#,0,0,0.5", "2,b,0,1,0.5"]).encode()
+    assert read_both(text, ("a#", "b"))[0] == "fallback"
+    text = csv_text(["1,,0,0,0.5", "2,b,0,1,0.5", "3,bb,0,1,0.5"]).encode()
+    assert read_both(text, ("", "b", "bb"))[0] == "loadtxt"
+    # a domain ending in NUL matches no field, although `S` fields drop NULs
+    assert read_both(csv_text(["1,C4,0,0,0.5"]).encode(), ("C4\x00", "b"))[0] == "fallback"
+    # a repeated domain counts as its last copy
+    path, columns = read_both(csv_text(["1,b,0,0,0.5", "2,a,0,1,0.5"]).encode(), ("b", "a", "b"))
+    assert path == "loadtxt" and columns[1][1] == [2, 1]
+
+
+def test_gate_piece_edges(tmp_path):
+    # refused bytes on either side of a piece boundary, and a first record
+    # that lies beyond the first piece
+    header = b"token_id,domain,layer,expert,weight\n"
+    line = b"1,C4,0,0,0.5\n"
+    body = line * (routing._PLAIN_PIECE // len(line) + 2)
+    path = str(tmp_path / "routing.csv")
+    for at in (routing._PLAIN_PIECE - 1, routing._PLAIN_PIECE):
+        for byte in (b" ", b"\r"):
+            with open(path, "wb") as f:
+                f.write(header + body[:at] + byte + body[at:])
+            assert not routing._is_plain(path)
+    with open(path, "wb") as f:
+        f.write(header + b"\n" * routing._PLAIN_PIECE)
+    assert not routing._is_plain(path)
+    assert read_both(header + b"\n" * routing._PLAIN_PIECE + line)[0] == "loadtxt"
+
+
+@pytest.mark.parametrize("byte", [*GATE_BYTES, "x"])
+def test_gate_byte_at_every_field_edge(byte):
+    # one refused byte in an otherwise good file, at each start and end of
+    # a field: a reader that took it would read "C4\x00" as C4
+    good = "7,GitHub,1,2,0.5"
+    for cut in field_edges(good):
+        bad = good[:cut] + byte + good[cut:]
+        read_both(csv_text(["1,C4,0,0,0.5", bad, "2,arXiv,1,3,0.5"]).encode("utf-8"))
 
 
 ints = st.one_of(
@@ -424,7 +564,8 @@ int_text = st.one_of(
               st.sampled_from(["+{}", " {} ", "{}_0", "0{}", "{}.0", "x{}"])),
 )
 token_text = st.one_of(st.integers(0, 40).map(str), int_text)
-domain_text = st.sampled_from(["C4", "C4", "arXiv", "GitHub", "Nope", " C4", "c4", ""])
+domain_text = st.sampled_from(["C4", "C4", "arXiv", "GitHub", "Nope", " C4", "c4", "",
+                               "C4\x00", "StackExchangeX", "GitHubX", "C4#"])
 weight_text = st.sampled_from(["0.5", "1", "-2.5e-3", "nan", "inf", " 0.25 ", "1_0", "w", ""])
 small = st.integers(0, 3).map(str)
 
@@ -446,14 +587,31 @@ def routing_lines(draw):
     line = ",".join(fields)
     if draw(st.integers(0, 15)) == 0:  # a line break character inside the line
         cut = draw(st.integers(0, len(line)))
-        line = line[:cut] + draw(st.sampled_from(["\x0c", "\x85", " ", "\x1e"])) + line[cut:]
+        line = line[:cut] + draw(st.sampled_from(GATE_BYTES)) + line[cut:]
     return line
+
+
+good_lines = st.builds("{},{},{},{},{}".format, st.integers(0, 40),
+                       st.sampled_from(["C4", "arXiv", "GitHub"]), small, small,
+                       st.sampled_from(["0.5", "1e5", "nan"]))
+
+
+@st.composite
+def refused(draw, line):
+    """`line` with a byte the gate refuses, or a letter that makes its label
+    unknown, at the start or end of a field."""
+    cut = draw(st.sampled_from(field_edges(line)))
+    return line[:cut] + draw(st.sampled_from([*GATE_BYTES, "x"])) + line[cut:]
 
 
 @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(
-    lines=st.lists(st.one_of(routing_lines(), routing_lines(), routing_lines(),
-                             st.sampled_from(["", " ", "\t "])), max_size=25),
+    lines=st.one_of(
+        st.lists(st.one_of(routing_lines(), routing_lines(), routing_lines(),
+                           st.sampled_from(["", " ", "\t "])), max_size=25),
+        st.lists(good_lines.flatmap(lambda line: st.one_of(st.just(line), refused(line))),
+                 min_size=1, max_size=6),
+    ),
     sep=st.sampled_from(["\n", "\n", "\r\n", "\r"]),
     experts=st.sampled_from([None, 0, 2, 4]),
     domains=st.sampled_from([None, "C4,arXiv,GitHub"]),
