@@ -8,6 +8,7 @@ contributes k counts (selections, not first choices).
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -146,8 +147,15 @@ def parse_routing_csv(path: str, domains: tuple[str, ...]) -> list[RoutingRecord
         if len(parts) != 5:
             raise ValueError(f"line {lineno}: expected 5 fields, got {len(parts)}")
         try:
-            records.append(RoutingRecord(  # fields in the order of the header
-                int(parts[0]), parts[1], int(parts[2]), int(parts[3]), float(parts[4])))
+            records.append(
+                RoutingRecord(
+                    token_id=int(parts[0]),
+                    domain=parts[1],
+                    layer=int(parts[2]),
+                    expert=int(parts[3]),
+                    weight=float(parts[4]),
+                )
+            )
         except ValueError as err:
             raise ValueError(f"line {lineno}: {err}") from err
         if parts[1] not in domains:
@@ -170,16 +178,20 @@ def read_routing_csv(path: str, domains: tuple[str, ...]) -> RoutingColumns:
 def _read_plain(path: str, domains: tuple[str, ...]) -> RoutingColumns | None:
     """The columns of a plain file, or None. Each label is cut to one byte
     more than the longest domain, so a longer one matches none; a row whose
-    label matches no domain gives None."""
+    label matches no domain gives None. NumPy releases from 1.23 until the
+    deprecation expired read an integer field such as "2.7" through a float
+    with only a DeprecationWarning; as an error it becomes a ValueError."""
     labels = [d.encode() for d in domains]
     try:
-        rows = np.loadtxt(
-            path, delimiter=",", skiprows=1, comments=None, quotechar=None,
-            ndmin=1, encoding="ascii",
-            dtype=[("token_id", "i8"), ("domain", f"S{max(map(len, labels), default=0) + 1}"),
-                   ("layer", "i8"), ("expert", "i8"), ("weight", "f8")],  # weights only checked
-        )
-    except ValueError:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DeprecationWarning)
+            rows = np.loadtxt(
+                path, delimiter=",", skiprows=1, comments=None, quotechar=None,
+                ndmin=1, encoding="ascii",
+                dtype=[("token_id", "i8"), ("domain", f"S{max(map(len, labels), default=0) + 1}"),
+                       ("layer", "i8"), ("expert", "i8"), ("weight", "f8")],  # weights only checked
+            )
+    except (ValueError, DeprecationWarning):
         return None
     code = np.full(len(rows), -1, dtype=np.intp)
     for i, label in enumerate(labels):  # the last of a repeated domain wins

@@ -14,6 +14,7 @@ import json
 import os
 import tempfile
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -479,6 +480,7 @@ GATE_CASES = {
     "beyond int64 layer": ([f"1,C4,{2**64},0,0.5"], "fallback"),
     "underscore int": (["1_0,C4,0,0,0.5"], "fallback"),
     "float as int": (["1.0,C4,0,0,0.5"], "fallback"),
+    "fraction as int": (["2.7,C4,0,0,0.5"], "fallback"),
     # weights
     "nan and inf": (["1,C4,0,0,nan", "2,C4,0,1,inf", "3,C4,0,2,-inf"], "loadtxt"),
     "exponent": (["1,C4,0,0,1e5", "2,C4,0,1,-2.5E-3"], "loadtxt"),
@@ -500,6 +502,23 @@ GATE_CASES = {
 def test_gate_cases_match_per_line_parser(name):
     rows, path = GATE_CASES[name]
     assert read_both(csv_text(rows).encode())[0] == path
+
+
+@pytest.mark.parametrize("text", ["2.7,C4,0,0,0.5", f"{2**64},C4,0,0,0.5"])
+def test_gate_refuses_integers_read_through_a_float(monkeypatch, text):
+    # NumPy releases from 1.23 until the deprecation expired read such an
+    # integer field through a float, with only a DeprecationWarning; the
+    # reader must still fall back, as int() raises or keeps the exact value
+    real = np.loadtxt
+
+    def loadtxt_reading_ints_via_float(*args, **kwargs):
+        rows = real(csv_text(["2,C4,0,0,0.5"]).splitlines(), **{**kwargs, "encoding": None})
+        warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.",
+                      DeprecationWarning, stacklevel=2)
+        return rows
+
+    monkeypatch.setattr(np, "loadtxt", loadtxt_reading_ints_via_float)
+    assert read_both(csv_text([text]).encode())[0] == "fallback"
 
 
 @pytest.mark.parametrize("data, path", [
