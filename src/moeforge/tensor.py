@@ -121,11 +121,15 @@ def _xorshift(x: np.ndarray) -> np.ndarray:
 def _apply_gf2(cols: np.ndarray, x: np.ndarray) -> np.ndarray:
     """The GF(2)-linear map whose image of bit i is cols[i], applied to each
     uint64 in x: the xor of one lookup per byte of x, in tables of the
-    images of all 256 values of each byte."""
-    value_bits = (np.arange(256, dtype=np.uint64)[:, None] >> np.arange(8, dtype=np.uint64)) & 1
-    table = np.bitwise_xor.reduce(value_bits * cols.reshape(8, 1, 8), axis=2)  # [byte][value]
+    images of all 256 values of each byte, built by doubling over its bits."""
+    table = np.zeros((8, 256), dtype=np.uint64)  # [byte][value]
+    for i, image in enumerate(cols.reshape(8, 8).T):  # bit i of every byte
+        table[:, 1 << i:2 << i] = table[:, :1 << i] ^ image[:, None]
     x_bytes = np.ascontiguousarray(x, dtype="<u8").view(np.uint8).reshape(-1, 8)
-    return np.bitwise_xor.reduce(table[np.arange(8), x_bytes], axis=1)
+    out = table[0, x_bytes[:, 0]]
+    for byte in range(1, 8):
+        out ^= table[byte, x_bytes[:, byte]]
+    return out
 
 
 @functools.cache
