@@ -3,7 +3,7 @@
 Matrices are plain numpy float64 arrays in row-major (C) order. The helpers
 here enforce the shape contracts the rest of the package relies on and add
 the overflow-safe scalar functions numpy does not ship in the exact form we
-need (masked softmax, branch-safe sigmoid).
+need (masked softmax, branch-free sigmoid).
 """
 
 from __future__ import annotations
@@ -62,10 +62,13 @@ def as_rows(x, cols: int) -> tuple[np.ndarray, bool]:
 
 def sigmoid(z: np.ndarray) -> np.ndarray:
     """Logistic function, overflow-safe for large |z|: 1 / (1 + e^-z) for
-    z >= 0 and e^z / (1 + e^z) below, both from e = exp(-|z|) <= 1."""
+    z >= 0 and e^z / (1 + e^z) below, with no branch: the numerator is
+    exp(min(z, 0)) and the denominator 1 + exp(-|z|), neither above 2."""
     z = np.asarray(z, dtype=np.float64)
-    e = np.exp(-np.abs(z))
-    out = np.where(z >= 0, 1.0, e)
+    out = np.minimum(z, 0.0, out=np.empty_like(z))  # out= keeps a 0-d input an array
+    np.exp(out, out=out)
+    e = np.abs(z, out=np.empty_like(z))
+    np.exp(np.negative(e, out=e), out=e)
     e += 1.0
     out /= e
     return out

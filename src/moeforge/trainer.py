@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dense_ffn import EVAL_ROWS, DenseFfn, ExpertFfn, ffn_forward, swiglu_backward
+from .dense_ffn import EVAL_ROWS, DenseFfn, ExpertFfn, ffn_forward, row_chunks, swiglu_backward
 from .moe import GateNetwork, MoeLayer, assemble_moe, cv_squared, dispatch, moe_forward, route
 from .partition import ExpertPartition
 from .tensor import Rng, as_matrix, softmax
@@ -120,9 +120,12 @@ def batch_loss_and_grads(
     teacher: DenseFfn,
     xs,
     balance_coeff: float,
+    *,
+    target: np.ndarray | None = None,
 ) -> tuple[float, LayerGrads, dict]:
     """Exact loss and analytic gradients for one batch. The gate's noise
-    must be off: `route` refuses a noisy gate without an rng.
+    must be off: `route` refuses a noisy gate without an rng. `target`, the
+    teacher's (B, d) output on `xs`, is computed here when not given.
 
     `xs` is a list of (d,) inputs or a (B, d) array. Tokens are grouped by
     selected expert, so each expert runs one forward and one backward over
@@ -133,7 +136,8 @@ def batch_loss_and_grads(
     batch, n = x.shape[0], layer.n_experts
     scale = layer.scale_factor
 
-    target, _ = ffn_forward(teacher, x)
+    if target is None:
+        target, _ = ffn_forward(teacher, x)
     logits, top, g = route(layer.gate, x)
     y, groups, res_cache = dispatch(layer, x, top, g)
     resid = y - target
@@ -218,7 +222,8 @@ def train_distill(
 ) -> TrainReport:
     """SGD distillation of the teacher into the layer. `data` is a list of
     (d,) inputs or a (N, d) array; the batch cursor cycles through it in
-    order, so runs are fully deterministic."""
+    order, so runs are fully deterministic. The teacher runs once on each
+    row the cursor reaches, before the first step."""
     if layer.d != teacher.d:
         raise ValueError("layer and teacher must share the model dimension d")
     data = as_matrix(data, cols=teacher.d)
@@ -227,12 +232,14 @@ def train_distill(
     # overflow and invalid values are how divergence shows; the non-finite
     # loss check below reports it, so numpy need not warn on the way
     with np.errstate(over="ignore", invalid="ignore"):
+        reached = data[:cfg.batch_size * cfg.total_steps]
+        targets = np.concatenate([ffn_forward(teacher, c)[0] for c in row_chunks(reached)])
         for step in range(cfg.total_steps):
-            xs = data[(cursor + np.arange(cfg.batch_size)) % len(data)]
+            idx = (cursor + np.arange(cfg.batch_size)) % len(data)
             cursor = (cursor + cfg.batch_size) % len(data)
 
             loss, grads, stats = batch_loss_and_grads(
-                layer, teacher, xs, cfg.balance_coeff
+                layer, teacher, data[idx], cfg.balance_coeff, target=targets[idx]
             )
             lr = lr_at(step + 1, cfg)
             report.losses.append(loss)

@@ -29,6 +29,36 @@ class TestSwish:
         assert np.abs(sigmoid(z) + sigmoid(-z) - 1.0).max() < 1e-12
 
 
+def two_branch_sigmoid(z):
+    """Oracle: 1 / (1 + e^-z) for z >= 0 and e^z / (1 + e^z) below."""
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    e = np.exp(z[~pos])
+    out[~pos] = e / (1.0 + e)
+    return out
+
+
+class TestSigmoidOracle:
+    EDGES = [0.0, 708.9, 745.2, 746.0, 5e-324, 1e308, np.inf]
+
+    @pytest.mark.parametrize("scale", [1e-300, 1e-10, 1e-3, 1.0, 10.0, 100.0, 1e3, 1e5])
+    def test_bitwise_equal_to_two_branch_form(self, scale):
+        # pytest turns a RuntimeWarning (overflow, invalid) into an error
+        edges = np.array(self.EDGES)
+        z = np.concatenate([np.random.default_rng(11).standard_normal(10**5) * scale,
+                            edges, -edges])
+        assert np.array_equal(sigmoid(z).view(np.uint64), two_branch_sigmoid(z).view(np.uint64))
+
+    def test_nan_gives_nan(self):
+        out = sigmoid(np.array([np.nan, 1.0, -np.nan]))
+        assert np.isnan(out[0]) and np.isnan(out[2]) and out[1] == SIGMOID_1
+
+    def test_shape_kept(self):
+        z = np.arange(-3.0, 3.0).reshape(2, 3)
+        assert sigmoid(z).shape == (2, 3) and sigmoid(np.array(0.5)).shape == ()
+
+
 class TestSoftmax:
     def test_symmetry(self):
         out = softmax(np.array([2.5, 2.5, 2.5]))

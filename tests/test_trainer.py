@@ -3,6 +3,7 @@ import copy
 import numpy as np
 import pytest
 
+from moeforge import trainer
 from moeforge.dense_ffn import DenseFfn
 from moeforge.moe import assemble_moe
 from moeforge.partition import split_independent_random, split_sharing_inter
@@ -10,6 +11,7 @@ from moeforge.tensor import Rng
 from moeforge.trainer import (
     DivergenceError,
     TrainConfig,
+    _apply_sgd,
     batch_loss_and_grads,
     compare_from_scratch,
     distill_mse,
@@ -200,8 +202,6 @@ class TestTrainDistill:
     def test_line_search_sanity(self):
         # with balance off, a tiny step never increases the same-batch loss
         teacher, layer, data = make_instance(4, 8, n=4, k=2, seed=6)
-        from moeforge.trainer import _apply_sgd
-
         for step in range(20):
             xs = [Rng(1000 + step * 8 + j).normal_array((4,)) for j in range(8)]
             before, grads, _ = batch_loss_and_grads(layer, teacher, xs, 0.0)
@@ -224,6 +224,77 @@ class TestTrainDistill:
         other = DenseFfn.random(5, 8, Rng(10))
         with pytest.raises(ValueError):
             train_distill(layer, other, [np.zeros(5)], TrainConfig())
+
+
+def per_batch_teacher_run(layer, teacher, data, cfg):
+    """Oracle for train_distill: the teacher runs on every batch, inside
+    batch_loss_and_grads. Returns the loss series and the final MSE."""
+    losses = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for step in range(cfg.total_steps):
+            idx = (step * cfg.batch_size + np.arange(cfg.batch_size)) % len(data)
+            loss, grads, _ = batch_loss_and_grads(layer, teacher, data[idx], cfg.balance_coeff)
+            losses.append(loss)
+            _apply_sgd(layer, grads, lr_at(step + 1, cfg))
+    return losses, distill_mse(layer, teacher, data)
+
+
+class TestTargetCache:
+    @pytest.mark.parametrize("batch, steps, samples", [
+        (48, 6, 100),  # the cursor wraps around the samples
+        (8, 3, 64),  # it never reaches the last 40 samples
+        (64, 80, 256),  # the desk_train benchmark's batches
+    ])
+    def test_teacher_rows_per_run(self, monkeypatch, batch, steps, samples):
+        rows, ffn_forward = [], trainer.ffn_forward
+
+        def counting_forward(ffn, x):
+            rows.append(len(x))
+            return ffn_forward(ffn, x)
+
+        monkeypatch.setattr(trainer, "ffn_forward", counting_forward)
+        teacher, layer, _ = make_instance(4, 8, n=2, k=1, seed=52)
+        cfg = TrainConfig(lr_max=0.01, lr_final=0.001, warmup_steps=0, total_steps=steps,
+                          batch_size=batch, num_samples=samples)
+        train_distill(layer, teacher, Rng(53).normal_array((samples, 4)), cfg)
+        assert sum(rows) == min(samples, batch * steps) + samples
+
+    def test_matches_per_batch_teacher(self):
+        # batches of 48 wrap around the 100 samples
+        rng = Rng(50)
+        teacher = DenseFfn.random(8, 32, rng)
+        layer = assemble_moe(teacher, split_independent_random(32, 4, rng), k=2,
+                             gate_init="random", seed=51)
+        data = rng.normal_array((100, 8))
+        cfg = TrainConfig(lr_max=0.05, lr_final=0.005, warmup_steps=2, total_steps=6,
+                          batch_size=48, num_samples=100)
+        oracle_layer = copy.deepcopy(layer)
+        report = train_distill(layer, teacher, data, cfg)
+        losses, final_mse = per_batch_teacher_run(oracle_layer, teacher, data, cfg)
+        np.testing.assert_allclose(report.losses, losses, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(report.final_mse, final_mse, rtol=1e-12, atol=0)
+        for a, b in zip(flatten_params(layer), flatten_params(oracle_layer)):
+            np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-15)
+
+    def test_given_target_is_used(self):
+        teacher, layer, data = make_instance(4, 8, n=2, k=2, seed=54)
+        xs = np.array(data)
+        target, _ = trainer.ffn_forward(teacher, xs)
+        base = batch_loss_and_grads(layer, teacher, xs, 0.01)
+        given = batch_loss_and_grads(layer, teacher, xs, 0.01, target=target)
+        assert given[0] == base[0]
+        shifted = batch_loss_and_grads(layer, teacher, xs, 0.01, target=target + 1.0)
+        assert shifted[0] != base[0]
+
+
+class TestTopOneGate:
+    def test_router_gets_no_gradient_without_balance(self):
+        # the softmax over one selected logit is identically 1
+        teacher, layer, data = make_instance(4, 8, n=4, k=1, seed=55)
+        _, grads, _ = batch_loss_and_grads(layer, teacher, data, 0.0)
+        assert np.all(grads.gate_w_g == 0.0)
+        _, grads, _ = batch_loss_and_grads(layer, teacher, data, 0.01)
+        assert np.any(grads.gate_w_g != 0.0)
 
 
 class TestCompareFromScratch:
