@@ -48,13 +48,7 @@ from .sampler import (
     schedule_log,
 )
 from .tensor import Rng, softmax, swish
-from .trainer import (
-    TrainConfig,
-    TrainReport,
-    compare_from_scratch,
-    lr_at,
-    train_distill,
-)
+from .trainer import TrainConfig, TrainReport, lr_at, train_distill
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

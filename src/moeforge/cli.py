@@ -14,28 +14,27 @@ from dataclasses import fields
 
 import numpy as np
 
-from .dense_ffn import DenseFfn, ExpertFfn, ffn_forward, row_chunks
-from .importance import importance_by_groups
+from .dense_ffn import DenseFfn
+from .importance import synthetic_importance
+from .layerio import (
+    ffn_from_tensors,
+    ffn_to_tensors,
+    layer_from_tensors,
+    layer_to_tensors,
+    partition_to_json,
+)
 from .mft import MftError, read_mft, write_mft
-from .moe import GateNetwork, MoeLayer, assemble_moe
+from .moe import MoeLayer, assemble_moe
 from .partition import (
-    ExpertPartition,
     PartitionMethod,
     check_divides,
-    check_index_set,
     split_independent_clustering,
     split_independent_random,
     split_sharing_inner,
     split_sharing_inter,
 )
 from .routing import collect_routing, heatmap_csv, l2_matrix_csv, read_routing_csv
-from .sampler import (
-    DEFAULT_DOMAINS,
-    SamplerMode,
-    SamplerState,
-    load_preset,
-    schedule_log,
-)
+from .sampler import DEFAULT_DOMAINS, SamplerMode, SamplerState, load_preset, schedule_log
 from .tensor import Rng
 from .trainer import DivergenceError, TrainConfig, train_distill
 
@@ -44,125 +43,31 @@ EXIT_USAGE = 2
 EXIT_DATA = 3
 EXIT_DIVERGENCE = 4
 
-SWIGLU_PARTS = ("w_up", "w_gate", "w_down")
 
+# ---------------------------------------------------------------- files
 
-# ---------------------------------------------------------------- serialization
-
-def _tensor(tensors: dict[str, np.ndarray], name: str) -> np.ndarray:
-    if name not in tensors:
-        raise MftError(f"missing tensor {name!r}")
-    return tensors[name]
-
-
-def _swiglu_weights(tensors: dict[str, np.ndarray], prefix: str = "") -> dict:
-    """The `prefix`w_up/w_gate/w_down tensors, keyed as DenseFfn's fields."""
-    return {part: _tensor(tensors, prefix + part) for part in SWIGLU_PARTS}
-
-
-def _integers(tensors: dict[str, np.ndarray], name: str) -> tuple[int, ...]:
-    """A 1-D tensor of finite, integer-valued entries, as Python ints."""
-    v = _tensor(tensors, name)
-    if v.ndim != 1 or not np.all(np.isfinite(v) & (v == np.round(v))):
-        raise MftError(f"tensor {name!r} must be a 1-D run of finite integers")
-    return tuple(int(i) for i in v)
-
-
-def ffn_from_mft(path: str) -> DenseFfn:
+def _decode(path: str, codec, *args):
+    """`codec` applied to the tensors in `path`; an MftError names the file."""
     try:
-        return DenseFfn(**_swiglu_weights(read_mft(path)))
+        return codec(read_mft(path), *args)
     except MftError as err:
         raise MftError(f"{err} in {path}") from err
 
 
+def ffn_from_mft(path: str) -> DenseFfn:
+    return _decode(path, ffn_from_tensors)
+
+
 def ffn_to_mft(path: str, ffn: DenseFfn) -> None:
-    write_mft(path, {part: getattr(ffn, part) for part in SWIGLU_PARTS})
+    write_mft(path, ffn_to_tensors(ffn))
 
 
-def layer_to_tensors(layer: MoeLayer) -> dict[str, np.ndarray]:
-    tensors: dict[str, np.ndarray] = {
-        "gate.w_g": layer.gate.w_g,
-        "gate.w_noise": layer.gate.w_noise,
-        "gate.k": np.array([float(layer.gate.k)]),
-    }
-    experts = [(f"expert.{i}.", ex) for i, ex in enumerate(layer.experts)]
-    if layer.residual_expert is not None:
-        experts.append(("residual.", layer.residual_expert))
-    for prefix, ex in experts:
-        for part in SWIGLU_PARTS:
-            tensors[prefix + part] = getattr(ex, part)
-        tensors[prefix + "indices"] = np.array(ex.source_indices, dtype=np.float64)
-    return tensors
-
-
-def _expert(
-    tensors: dict[str, np.ndarray], prefix: str, teacher_d_h: int | None
-) -> ExpertFfn:
-    """The expert under `prefix`. Its indices name one teacher neuron per
-    column of its w_up and form an index set (`check_index_set`) of the
-    teacher's d_h neurons, unbounded above when the teacher is not known."""
-    name = prefix + "indices"
-    ex = ExpertFfn(**_swiglu_weights(tensors, prefix), source_indices=_integers(tensors, name))
-    idx = ex.source_indices
-    if len(idx) != ex.d_h:
-        raise MftError(f"tensor {name!r} holds {len(idx)} indices for {ex.d_h} neurons")
-    try:
-        check_index_set(idx, teacher_d_h)
-    except ValueError as err:
-        raise MftError(f"tensor {name!r}: {err}") from err
-    return ex
-
-
-def layer_from_tensors(
-    tensors: dict[str, np.ndarray], teacher_d_h: int | None = None
-) -> MoeLayer:
-    n = 0
-    while f"expert.{n}.w_up" in tensors:
-        n += 1
-    if n == 0:
-        raise MftError("no expert tensors found")
-    w_g, w_noise = _tensor(tensors, "gate.w_g"), _tensor(tensors, "gate.w_noise")
-    k = _integers(tensors, "gate.k")
-    if len(k) != 1:
-        raise MftError(f"tensor 'gate.k' must hold one value, got {len(k)}")
-    experts = [_expert(tensors, f"expert.{i}.", teacher_d_h) for i in range(n)]
-    gate = GateNetwork(w_g=w_g, w_noise=w_noise, k=k[0])
-    residual = None
-    if any(name.startswith("residual.") for name in tensors):
-        residual = _expert(tensors, "residual.", teacher_d_h)
-    return MoeLayer(experts=experts, gate=gate, residual_expert=residual)
+def read_layer(path: str, teacher_d_h: int | None = None) -> MoeLayer:
+    return _decode(path, layer_from_tensors, teacher_d_h)
 
 
 def write_layer(path: str, layer: MoeLayer) -> None:
     write_mft(path, layer_to_tensors(layer))
-
-
-def read_layer(path: str, teacher_d_h: int | None = None) -> MoeLayer:
-    return layer_from_tensors(read_mft(path), teacher_d_h)
-
-
-def partition_to_json(p: ExpertPartition) -> str:
-    return json.dumps(
-        {
-            "n": p.n,
-            "m": p.m,
-            "d_h": p.d_h,
-            "method": p.method.value,
-            "sets": [list(s) for s in p.sets],
-            "residual": list(p.shared_residual),
-        },
-        indent=2,
-    ) + "\n"
-
-
-def partition_from_json(text: str) -> ExpertPartition:
-    doc = json.loads(text)
-    return ExpertPartition(
-        sets=tuple(tuple(s) for s in doc["sets"]),
-        d_h=doc["d_h"],
-        method=PartitionMethod(doc["method"]),
-        shared_residual=tuple(doc.get("residual", [])),
-    )
 
 
 # ---------------------------------------------------------------- commands
@@ -184,19 +89,6 @@ def _losses(values, what: str) -> np.ndarray:
         raise ValueError(f"{what} must hold numbers: {err}") from err
 
 
-def _synthetic_importance(ffn: DenseFfn, n: int, seed: int, num_samples: int):
-    """Importance vectors from seeded synthetic data: gaussian inputs,
-    squared-error loss against gaussian targets (grad_y = y - target)."""
-    rng = Rng(seed ^ 0xDA7A)
-    # per sample: x, then its target, as consecutive draws; the target half
-    # is then overwritten with grad_y, chunk by chunk
-    pairs = rng.normal_array((num_samples, 2, ffn.d))
-    for chunk in row_chunks(pairs):
-        y, _ = ffn_forward(ffn, chunk[:, 0])
-        chunk[:, 1] = y - chunk[:, 1]
-    return [v.values for v in importance_by_groups(ffn, pairs, n, rng)]
-
-
 def cmd_split(args) -> int:
     ffn = ffn_from_mft(args.ffn)
     method = PartitionMethod(args.method)
@@ -207,9 +99,7 @@ def cmd_split(args) -> int:
         partition = split_independent_clustering(ffn, args.experts, rng)
     else:
         m = check_divides(ffn.d_h, args.experts)
-        vecs = _synthetic_importance(
-            ffn, args.experts, args.seed, args.importance_samples
-        )
+        vecs = synthetic_importance(ffn, args.experts, args.seed, args.importance_samples)
         if method is PartitionMethod.SHARING_INNER:
             partition = split_sharing_inner(vecs, m)
         else:
@@ -289,9 +179,7 @@ def cmd_analyze(args) -> int:
         print("no records; nothing to write")
         return EXIT_OK
     n_layers = int(records.layer.max()) + 1
-    n_experts = (
-        args.experts if args.experts else int(records.expert.max()) + 1
-    )
+    n_experts = args.experts if args.experts else int(records.expert.max()) + 1
     stats = collect_routing(records, n_layers, n_experts, domains)
     for layer in range(n_layers):
         with open(os.path.join(args.out, f"heatmap_layer{layer}.csv"), "w") as f:

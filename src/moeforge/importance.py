@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dense_ffn import DenseFfn, row_chunks, swiglu_hidden
+from .dense_ffn import DenseFfn, ffn_forward, row_chunks, swiglu_hidden
 from .partition import kmeans
 from .tensor import Rng, ShapeError
 
@@ -89,3 +89,16 @@ def importance_by_groups(
         )
         for c, idx in enumerate(groups_idx)
     ]
+
+
+def synthetic_importance(ffn: DenseFfn, n: int, seed: int, num_samples: int):
+    """Importance vectors from seeded synthetic data: gaussian inputs,
+    squared-error loss against gaussian targets (grad_y = y - target)."""
+    rng = Rng(seed ^ 0xDA7A)
+    # per sample: x, then its target, as consecutive draws; the target half
+    # is then overwritten with grad_y, chunk by chunk
+    pairs = rng.normal_array((num_samples, 2, ffn.d))
+    for chunk in row_chunks(pairs):
+        y, _ = ffn_forward(ffn, chunk[:, 0])
+        chunk[:, 1] = y - chunk[:, 1]
+    return [v.values for v in importance_by_groups(ffn, pairs, n, rng)]

@@ -15,12 +15,13 @@ import numpy as np
 
 ROUTING_HEADER = ["token_id", "domain", "layer", "expert", "weight"]
 # A plain file, which np.loadtxt reads as parse_routing_csv does: this header
-# line, then only LF and printable ASCII but space, '#' and '"'. VT, FF and
-# FS/GS/RS end a line for str.splitlines but not for loadtxt, a NUL ends an
-# `S` field early, '#' and '"' are comment and quote characters, and CR,
-# space and tab are left out so that no whitespace rule is relied on.
-_PLAIN_HEADER = (",".join(ROUTING_HEADER) + "\n").encode("ascii")
-_PLAIN_BYTES = bytes(range(0x21, 0x7F)).translate(None, b'#"') + b"\n"
+# line, then only line ends and printable ASCII but space, '#' and '"'. Both
+# readers open the file in text mode, where LF, CRLF and CR each end a line.
+# VT, FF and FS/GS/RS end a line for str.splitlines but not for loadtxt, a
+# NUL ends an `S` field early, '#' and '"' are comment and quote characters,
+# and space and tab are left out so that no whitespace rule is relied on.
+_PLAIN_HEADER = ",".join(ROUTING_HEADER).encode("ascii")
+_PLAIN_BYTES = bytes(range(0x21, 0x7F)).translate(None, b'#"') + b"\r\n"
 _PLAIN_PIECE = 1 << 20
 
 
@@ -205,12 +206,12 @@ def _is_plain(path: str) -> bool:
     """Whether the file is plain and has a record; read piece by piece."""
     records = False
     with open(path, "rb") as f:
-        if f.read(len(_PLAIN_HEADER)) != _PLAIN_HEADER:
+        if f.read(len(_PLAIN_HEADER) + 1) not in (_PLAIN_HEADER + b"\n", _PLAIN_HEADER + b"\r"):
             return False
         while piece := f.read(_PLAIN_PIECE):
             if piece.translate(None, _PLAIN_BYTES):
                 return False
-            records = records or piece.count(b"\n") < len(piece)
+            records = records or piece.count(b"\n") + piece.count(b"\r") < len(piece)
     return records
 
 

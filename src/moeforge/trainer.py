@@ -22,8 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dense_ffn import EVAL_ROWS, DenseFfn, ExpertFfn, ffn_forward, row_chunks, swiglu_backward
-from .moe import GateNetwork, MoeLayer, assemble_moe, cv_squared, dispatch, moe_forward, route
-from .partition import ExpertPartition
+from .moe import GateNetwork, MoeLayer, cv_squared, dispatch, moe_forward, route
 from .tensor import Rng, as_matrix, softmax
 
 
@@ -272,24 +271,3 @@ def random_init_like(layer: MoeLayer, rng: Rng) -> MoeLayer:
         k=layer.gate.k,
     )
     return MoeLayer(experts=experts, gate=gate, residual_expert=residual)
-
-
-def compare_from_scratch(
-    teacher: DenseFfn,
-    partition: ExpertPartition,
-    cfg: TrainConfig,
-    rng: Rng,
-    k: int | None = None,
-) -> tuple[TrainReport, TrainReport]:
-    """Train a split-initialized layer and a randomly initialized layer of
-    identical shape on the same cfg.num_samples inputs; returns both reports."""
-    if k is None:
-        k = partition.n
-    data = rng.normal_array((cfg.num_samples, teacher.d))
-
-    split_layer = assemble_moe(teacher, partition, k=k)
-    scratch_layer = random_init_like(split_layer, rng)
-
-    split_report = train_distill(split_layer, teacher, data, cfg)
-    scratch_report = train_distill(scratch_layer, teacher, data, cfg)
-    return split_report, scratch_report

@@ -10,14 +10,12 @@ from moeforge.cli import (
     EXIT_OK,
     EXIT_USAGE,
     ffn_to_mft,
-    layer_from_tensors,
-    layer_to_tensors,
     main,
-    partition_from_json,
     read_layer,
     write_layer,
 )
 from moeforge.dense_ffn import DenseFfn, ffn_forward
+from moeforge.layerio import layer_from_tensors, layer_to_tensors, partition_from_json
 from moeforge.mft import MftError, read_mft, write_mft
 from moeforge.moe import assemble_moe, moe_forward
 from moeforge.partition import split_independent_random, split_sharing_inter
@@ -275,6 +273,20 @@ class TestTrain:
              "--config", cfg_path, "--out", str(tmp_path / "x")]
         )
         assert code == EXIT_DATA
+
+    @pytest.mark.parametrize("cut", ["--layer", "--teacher"])
+    def test_truncated_input_names_its_file(self, teacher_file, tmp_path, capsys, cut):
+        files = {"--layer": self.make_layer_file(teacher_file, tmp_path),
+                 "--teacher": teacher_file[0]}
+        data = open(files[cut], "rb").read()
+        files[cut] = str(tmp_path / "cut.mft")
+        with open(files[cut], "wb") as f:
+            f.write(data[:-8])
+        code = run(["train", "--layer", files["--layer"], "--teacher", files["--teacher"],
+                    "--config", self.write_config(tmp_path), "--out", str(tmp_path / "x")])
+        assert code == EXIT_DATA
+        err = capsys.readouterr().err
+        assert "truncated payload" in err and err.rstrip().endswith(f" in {files[cut]}")
 
     def test_determinism_bytewise(self, teacher_file, tmp_path):
         path, _ = teacher_file

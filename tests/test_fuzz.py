@@ -14,8 +14,9 @@ import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from moeforge.cli import EXIT_DATA, EXIT_DIVERGENCE, EXIT_OK, ffn_to_mft, layer_to_tensors, main
+from moeforge.cli import EXIT_DATA, EXIT_DIVERGENCE, EXIT_OK, ffn_to_mft, main
 from moeforge.dense_ffn import DenseFfn
+from moeforge.layerio import layer_to_tensors
 from moeforge.mft import MftError, read_mft, write_mft
 from moeforge.moe import assemble_moe
 from moeforge.partition import split_sharing_inter

@@ -3,7 +3,6 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from moeforge.cli import _synthetic_importance
 from moeforge.dense_ffn import EVAL_ROWS, DenseFfn, ffn_forward
 from moeforge.importance import (
     DataGroup,
@@ -11,6 +10,7 @@ from moeforge.importance import (
     accumulate_importance,
     group_data_by_clustering,
     importance_by_groups,
+    synthetic_importance,
 )
 from moeforge.tensor import Rng, ShapeError
 
@@ -222,7 +222,7 @@ def test_synthetic_importance_memory_is_bounded():
     ffn = DenseFfn.random(16, 1024, Rng(0))
     tracemalloc.start()
     try:
-        vecs = _synthetic_importance(ffn, 8, 1, 4096)
+        vecs = synthetic_importance(ffn, 8, 1, 4096)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -1,0 +1,45 @@
+"""The artifact layouts: their bytes are pinned, and no other module of the
+package spells a layer tensor name."""
+
+import ast
+import hashlib
+from pathlib import Path
+
+import moeforge
+from moeforge.cli import write_layer
+from moeforge.dense_ffn import DenseFfn
+from moeforge.importance import synthetic_importance
+from moeforge.layerio import partition_to_json
+from moeforge.moe import assemble_moe
+from moeforge.partition import split_sharing_inter
+from moeforge.tensor import Rng
+
+PACKAGE = Path(moeforge.__file__).parent
+
+
+def test_layer_and_partition_bytes_are_pinned(tmp_path):
+    # a seeded sharing_inter split with a residual block and a random gate;
+    # the digests were taken before the layouts moved out of the CLI
+    ffn = DenseFfn.random(8, 32, Rng(12))
+    part = split_sharing_inter(synthetic_importance(ffn, 4, 12, 64), 8, 0.5)
+    assert len(part.shared_residual) == 12
+    path = tmp_path / "layer.mft"
+    write_layer(str(path), assemble_moe(ffn, part, k=2, gate_init="random", seed=12))
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        "272dae667fcad6027b8b03700b35acad6f37d99134e9ec44dd99eabd7e2e3d4f")
+    assert hashlib.sha256(partition_to_json(part).encode()).hexdigest() == (
+        "db4fb92fd1c05d447f52f4f9a12ccca4c7e481758a47634203f0be444768cd61")
+
+
+def test_only_layerio_spells_layer_tensor_names():
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "layerio.py":
+            continue
+        found += [
+            f"{path.name}:{node.lineno} {node.value!r}"
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Constant) and isinstance(node.value, str)
+            and node.value.startswith(("gate.", "expert.", "residual."))
+        ]
+    assert not found, found

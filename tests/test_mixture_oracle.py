@@ -444,9 +444,9 @@ def read_both(data: bytes, domains=DEFAULT_DOMAINS):
 
 
 # every byte the plain-file gate refuses, by kind: line breaks of
-# str.splitlines, space and tab, NUL, comment and quote characters, and a
-# non-ASCII digit
-GATE_BYTES = ["\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", " ", "\t",
+# str.splitlines other than LF and CR, space and tab, NUL, comment and quote
+# characters, and a non-ASCII digit
+GATE_BYTES = ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", " ", "\t",
               "\x00", "#", '"', "\u0661"]
 
 
@@ -462,7 +462,10 @@ GATE_CASES = {
     "tab": (["1,C4,0,0,0.5\t"], "fallback"),
     "hash": (["1,C4,0,0,0.5#x"], "fallback"),
     "quote": (['1,"C4",0,0,0.5'], "fallback"),
-    "CR": (["1,C4,0,0,0.5\r2,C4,0,1,0.5"], "fallback"),
+    "CR": (["1,C4,0,0,0.5\r2,C4,0,1,0.5"], "loadtxt"),
+    "CRLF": (["1,C4,0,0,0.5\r\n2,C4,0,1,0.5"], "loadtxt"),
+    "LF CR": (["1,C4,0,0,0.5\n\r2,C4,0,1,0.5"], "loadtxt"),
+    "CR only between records": (["\r\r"], "fallback"),
     "VT": (["1,C4,0,0,0.5\x0b2,C4,0,1,0.5"], "fallback"),
     "FF": (["1,C4,0,0,0.5\x0c2,C4,0,1,0.5"], "fallback"),
     "FS": (["1,C4,0,0,0.5\x1c2,C4,0,1,0.5"], "fallback"),
@@ -526,7 +529,14 @@ def test_gate_refuses_integers_read_through_a_float(monkeypatch, text):
     (b"token_id,domain,layer,expert,weight\n", "fallback"),  # header only
     (b"token_id,domain,layer,expert,weight", "fallback"),
     (b"token_id,domain,layer,expert,weight\n\n\n", "fallback"),  # no record
-    (b"token_id,domain,layer,expert,weight\r\n1,C4,0,0,0.5\r\n", "fallback"),  # CRLF
+    (b"token_id,domain,layer,expert,weight\r\n1,C4,0,0,0.5\r\n", "loadtxt"),  # CRLF
+    (b"token_id,domain,layer,expert,weight\r1,C4,0,0,0.5\r2,C4,0,1,0.5", "loadtxt"),  # CR
+    (b"token_id,domain,layer,expert,weight\r1,C4,0,0,0.5\r\n2,C4,0,1,0.5\n", "loadtxt"),
+    (b"token_id,domain,layer,expert,weight\r\n", "fallback"),
+    (b"token_id,domain,layer,expert,weight\r\r\n\n\r", "fallback"),
+    (b"token_id,domain,layer,expert,weight\n\r\n1,C4,0,0,0.5\r", "loadtxt"),
+    (b"token_id,domain,layer,expert,weight\r\r1,C4,0,0,0.5", "loadtxt"),
+    (b"token_id,domain,layer,expert,weight \r\n1,C4,0,0,0.5", "fallback"),
     (b"token_id,domain,layer,expert,weigh\n1,C4,0,0,0.5\n", "fallback"),
     (b"token_id,domain,layer,expert\n1,C4,0,0\n", "fallback"),
 ])
@@ -554,20 +564,28 @@ def test_gate_piece_edges(tmp_path):
     body = line * (routing._PLAIN_PIECE // len(line) + 2)
     path = str(tmp_path / "routing.csv")
     for at in (routing._PLAIN_PIECE - 1, routing._PLAIN_PIECE):
-        for byte in (b" ", b"\r"):
+        for byte in (b" ", b"\t"):
             with open(path, "wb") as f:
                 f.write(header + body[:at] + byte + body[at:])
             assert not routing._is_plain(path)
-    with open(path, "wb") as f:
-        f.write(header + b"\n" * routing._PLAIN_PIECE)
-    assert not routing._is_plain(path)
-    assert read_both(header + b"\n" * routing._PLAIN_PIECE + line)[0] == "loadtxt"
+        # a CRLF cut in two by the boundary, or just after it: leading zeros
+        # on the first token id put a CR at `at`
+        crlf = b"1,C4,0,0,0.5\r\n"
+        pad = (at - crlf.index(b"\r")) % len(crlf)
+        data = header + b"0" * pad + crlf * (at // len(crlf) + 2)
+        assert data[len(header) + at] == ord("\r")
+        assert read_both(data)[0] == "loadtxt"
+    for ends in (b"\n", b"\r", b"\r\n"):
+        with open(path, "wb") as f:
+            f.write(header + ends * routing._PLAIN_PIECE)
+        assert not routing._is_plain(path)
+        assert read_both(header + ends * routing._PLAIN_PIECE + line)[0] == "loadtxt"
 
 
-@pytest.mark.parametrize("byte", [*GATE_BYTES, "x"])
+@pytest.mark.parametrize("byte", [*GATE_BYTES, "\r", "x"])
 def test_gate_byte_at_every_field_edge(byte):
-    # one refused byte in an otherwise good file, at each start and end of
-    # a field: a reader that took it would read "C4\x00" as C4
+    # one refused byte, or a CR, in an otherwise good file, at each start and
+    # end of a field: a reader that took NUL would read "C4\x00" as C4
     good = "7,GitHub,1,2,0.5"
     for cut in field_edges(good):
         bad = good[:cut] + byte + good[cut:]
@@ -625,7 +643,7 @@ def refused(draw, line):
 
 # plain bytes and fields that the gate lets through to loadtxt, each of
 # which makes a good line bad, or reads the same only if both readers agree
-PLAIN_EDITS = ["x", "_", "+", "-", ".", "e", "0", ",", "'", "\n", "2.7", "1" * 20]
+PLAIN_EDITS = ["x", "_", "+", "-", ".", "e", "0", ",", "'", "\n", "\r", "\r\n", "2.7", "1" * 20]
 
 
 @st.composite
@@ -659,7 +677,7 @@ def one_edit_files(draw):
             st.sampled_from(["\n", "\n", "\r\n", "\r"]),
         ),
         st.tuples(one_edit_files(), st.just("\n")),
-        st.tuples(one_edit_files(), st.just("\n")),
+        st.tuples(one_edit_files(), st.sampled_from(["\n", "\r\n", "\r"])),
     ),
     experts=st.sampled_from([None, 0, 2, 4]),
     domains=st.sampled_from([None, "C4,arXiv,GitHub"]),

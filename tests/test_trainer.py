@@ -13,7 +13,6 @@ from moeforge.trainer import (
     TrainConfig,
     _apply_sgd,
     batch_loss_and_grads,
-    compare_from_scratch,
     distill_mse,
     lr_at,
     random_init_like,
@@ -297,24 +296,22 @@ class TestTopOneGate:
         assert np.any(grads.gate_w_g != 0.0)
 
 
-class TestCompareFromScratch:
-    CFG = TrainConfig(
-        lr_max=0.1, lr_final=0.01, warmup_steps=5, total_steps=40, batch_size=16
-    )
+def train_from_scratch(teacher, part, cfg, rng):
+    """Distill a randomly initialised layer shaped as the split one."""
+    data = rng.normal_array((cfg.num_samples, teacher.d))
+    layer = random_init_like(assemble_moe(teacher, part, k=part.n), rng)
+    return train_distill(layer, teacher, data, cfg)
 
-    def test_split_starts_lower(self):
-        teacher = DenseFfn.random(8, 16, Rng(20))
-        part = split_independent_random(16, 2, Rng(21))
-        split_rep, scratch_rep = compare_from_scratch(teacher, part, self.CFG, Rng(22))
-        assert split_rep.losses[0] < scratch_rep.losses[0]
 
+class TestRandomInitLike:
     def test_identical_seed_identical_scratch(self):
         teacher = DenseFfn.random(8, 16, Rng(23))
         part = split_independent_random(16, 2, Rng(24))
-        a = compare_from_scratch(teacher, part, self.CFG, Rng(25))
-        b = compare_from_scratch(teacher, part, self.CFG, Rng(25))
-        assert a[1].losses == b[1].losses
-        assert a[0].losses == b[0].losses
+        cfg = TrainConfig(lr_max=0.1, lr_final=0.01, warmup_steps=5, total_steps=40,
+                          batch_size=16)
+        a = train_from_scratch(teacher, part, cfg, Rng(25))
+        b = train_from_scratch(teacher, part, cfg, Rng(25))
+        assert a.losses == b.losses and a.final_mse == b.final_mse
 
     def test_smoothed_losses_nonincreasing(self):
         teacher = DenseFfn.random(8, 16, Rng(26), scale=0.2)
@@ -322,14 +319,11 @@ class TestCompareFromScratch:
         cfg = TrainConfig(
             lr_max=1.0, lr_final=0.1, warmup_steps=10, total_steps=200, batch_size=32
         )
-        split_rep, scratch_rep = compare_from_scratch(teacher, part, cfg, Rng(28))
-        for rep in (split_rep, scratch_rep):
-            w = 50
-            sm = np.convolve(rep.losses, np.ones(w) / w, mode="valid")
-            assert sm[-1] <= sm[0]
+        rep = train_from_scratch(teacher, part, cfg, Rng(28))
+        w = 50
+        sm = np.convolve(rep.losses, np.ones(w) / w, mode="valid")
+        assert sm[-1] <= sm[0]
 
-
-class TestRandomInitLike:
     def test_keeps_residual_expert_shape(self):
         rng = Rng(40)
         teacher = DenseFfn.random(4, 12, rng)
