@@ -9,7 +9,6 @@ analyze routing specialization across data domains.
 from .dense_ffn import DenseFfn, ExpertFfn, ffn_forward
 from .importance import (
     DataGroup,
-    ImportanceVector,
     accumulate_importance,
     group_data_by_clustering,
 )

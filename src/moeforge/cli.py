@@ -179,7 +179,7 @@ def cmd_analyze(args) -> int:
         print("no records; nothing to write")
         return EXIT_OK
     n_layers = int(records.layer.max()) + 1
-    n_experts = args.experts if args.experts else int(records.expert.max()) + 1
+    n_experts = args.experts or int(records.expert.max()) + 1
     stats = collect_routing(records, n_layers, n_experts, domains)
     for layer in range(n_layers):
         with open(os.path.join(args.out, f"heatmap_layer{layer}.csv"), "w") as f:
@@ -194,12 +194,14 @@ def cmd_analyze(args) -> int:
 
 # ---------------------------------------------------------------- entry point
 
-def count(text: str) -> int:
-    """argparse type for a nonnegative integer."""
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be nonnegative, got {value}")
-    return value
+def at_least(low: int):
+    """argparse type for an integer of at least `low`."""
+    def count(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+    return count
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -236,7 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
     hp = sub.add_parser("schedule", help="emit a domain-mixture schedule log")
     hp.add_argument("--preset", default="llama_v1")
     hp.add_argument("--mode", choices=["static", "dynamic"], default="static")
-    hp.add_argument("--draws", type=count, default=1000)
+    hp.add_argument("--draws", type=at_least(0), default=1000)
     hp.add_argument("--interval", type=int, default=100)
     hp.add_argument("--seed", type=int, default=0)
     hp.add_argument("--reference-loss", help="JSON {domain: loss}")
@@ -247,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
     ap = sub.add_parser("analyze", help="routing statistics and L2 matrices")
     ap.add_argument("--routing", required=True, help="routing records CSV")
     ap.add_argument("--domains", help="comma-separated domain labels")
-    ap.add_argument("--experts", type=int, help="declared expert count")
+    ap.add_argument("--experts", type=at_least(1), help="declared expert count")
     ap.add_argument("--out", required=True, help="output directory")
     ap.set_defaults(func=cmd_analyze)
     return p
@@ -258,9 +260,6 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except DivergenceError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_DIVERGENCE
     except (MftError, ValueError, OSError, json.JSONDecodeError, KeyError, MemoryError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_DATA

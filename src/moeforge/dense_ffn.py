@@ -69,14 +69,10 @@ class DenseFfn:
 
 @dataclass(frozen=True)
 class ExpertFfn(DenseFfn):
-    """One expert: a SwiGLU slice of the dense FFN (d_h = m neurons) plus
-    the dense neuron indices it was cut from."""
+    """One expert: a SwiGLU slice of the dense FFN (d_h neurons) plus the
+    dense neuron indices it was cut from."""
 
     source_indices: tuple[int, ...] = ()
-
-    @property
-    def m(self) -> int:
-        return self.d_h
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         """Expert output for x (d,) or a batch X (B, d)."""

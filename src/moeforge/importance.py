@@ -1,6 +1,6 @@
 """Per-neuron importance scoring for neuron-sharing expert construction.
 
-Each sample contributes |h * grad_h| to the running importance vector,
+Each sample contributes |h * grad_h| to its group's importance vector,
 where h is the FFN's intermediate activation and grad_h the loss gradient
 pulled back from the output (the first-order Taylor criterion; it never
 needs the output y itself). The loss is abstracted: callers supply grad_y
@@ -17,54 +17,30 @@ import numpy as np
 
 from .dense_ffn import DenseFfn, ffn_forward, row_chunks, swiglu_hidden
 from .partition import kmeans
-from .tensor import Rng, ShapeError
-
-
-@dataclass
-class ImportanceVector:
-    """Accumulated |h * grad_h| per intermediate neuron."""
-
-    values: np.ndarray
-    samples_seen: int = 0
-
-    @staticmethod
-    def zeros(d_h: int) -> "ImportanceVector":
-        return ImportanceVector(values=np.zeros(d_h), samples_seen=0)
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.float64)
-        if self.values.ndim != 1:
-            raise ShapeError("importance values must be a vector")
-        if np.any(self.values < 0):
-            raise ValueError("importance values must be nonnegative")
+from .tensor import Rng
 
 
 @dataclass
 class DataGroup:
-    """Labelled group of (input, output-gradient) pairs: an (N, 2, d) array
-    or a list of (x, grad_y) tuples."""
+    """(input, output-gradient) pairs: an (N, 2, d) array or a list of
+    (x, grad_y) tuples."""
 
-    id: str
     samples: list[tuple[np.ndarray, np.ndarray]] | np.ndarray = field(default_factory=list)
 
 
-def accumulate_importance(
-    ffn: DenseFfn, group: DataGroup, v: ImportanceVector
-) -> ImportanceVector:
-    """Fold a data group into the importance vector (returns a new one).
-    Rows are added one after another, in order, whatever the chunking."""
-    if len(v.values) != ffn.d_h:
-        raise ShapeError(f"importance vector length {len(v.values)} != d_h {ffn.d_h}")
+def accumulate_importance(ffn: DenseFfn, group: DataGroup) -> np.ndarray:
+    """The group's (d_h,) importance vector, summed from zeros. Rows are
+    added one after another, in order, whatever the chunking."""
     # one pair per sample: a pair of any other length fails to reshape
     pairs = np.asarray(group.samples, dtype=np.float64).reshape(len(group.samples), 2, ffn.d)
     if not np.all(np.isfinite(pairs)):
         raise ValueError("samples must be finite")
-    values = v.values
+    values = np.zeros(ffn.d_h)
     for chunk in row_chunks(pairs):
         h = swiglu_hidden(chunk[:, 0], ffn.w_up, ffn.w_gate).h
         grad_h = chunk[:, 1] @ ffn.w_down.T
         values = np.vstack((values, np.abs(h * grad_h))).sum(axis=0)
-    return ImportanceVector(values=values, samples_seen=v.samples_seen + len(pairs))
+    return values
 
 
 def group_data_by_clustering(
@@ -77,21 +53,14 @@ def group_data_by_clustering(
     return [[int(i) for i in np.flatnonzero(assign == c)] for c in range(n)]
 
 
-def importance_by_groups(
-    ffn: DenseFfn, pairs: np.ndarray, n: int, rng: Rng
-) -> list[ImportanceVector]:
+def importance_by_groups(ffn: DenseFfn, pairs: np.ndarray, n: int, rng: Rng) -> list[np.ndarray]:
     """Cluster the inputs `pairs[:, 0]` of (N, 2, d) (x, grad_y) pairs into n
     groups and accumulate one importance vector per group, in group order."""
     groups_idx = group_data_by_clustering(pairs[:, 0], n, rng)
-    return [
-        accumulate_importance(
-            ffn, DataGroup(id=f"group{c}", samples=pairs[idx]), ImportanceVector.zeros(ffn.d_h)
-        )
-        for c, idx in enumerate(groups_idx)
-    ]
+    return [accumulate_importance(ffn, DataGroup(pairs[idx])) for idx in groups_idx]
 
 
-def synthetic_importance(ffn: DenseFfn, n: int, seed: int, num_samples: int):
+def synthetic_importance(ffn: DenseFfn, n: int, seed: int, num_samples: int) -> list[np.ndarray]:
     """Importance vectors from seeded synthetic data: gaussian inputs,
     squared-error loss against gaussian targets (grad_y = y - target)."""
     rng = Rng(seed ^ 0xDA7A)
@@ -101,4 +70,4 @@ def synthetic_importance(ffn: DenseFfn, n: int, seed: int, num_samples: int):
     for chunk in row_chunks(pairs):
         y, _ = ffn_forward(ffn, chunk[:, 0])
         chunk[:, 1] = y - chunk[:, 1]
-    return [v.values for v in importance_by_groups(ffn, pairs, n, rng)]
+    return importance_by_groups(ffn, pairs, n, rng)

@@ -28,6 +28,14 @@ def _swiglu_weights(tensors: dict[str, np.ndarray], prefix: str = "") -> dict:
     return {part: _tensor(tensors, prefix + part) for part in SWIGLU_PARTS}
 
 
+def _named(prefix: str, build):
+    """build(); a ShapeError or ValueError names the tensors under `prefix`."""
+    try:
+        return build()
+    except ValueError as err:
+        raise MftError(f"tensors {prefix}*: {err}") from err
+
+
 def _integers(tensors: dict[str, np.ndarray], name: str) -> tuple[int, ...]:
     """A 1-D tensor of finite, integer-valued entries, as Python ints."""
     v = _tensor(tensors, name)
@@ -61,14 +69,15 @@ def layer_to_tensors(layer: MoeLayer) -> dict[str, np.ndarray]:
 
 
 def _expert(
-    tensors: dict[str, np.ndarray], prefix: str, teacher_d_h: int | None
+    tensors: dict[str, np.ndarray], prefix: str, gate: GateNetwork, teacher_d_h: int | None
 ) -> ExpertFfn:
-    """The expert under `prefix`. Its indices name one teacher neuron per
-    column of its w_up and form an index set (`check_index_set`) of the
-    teacher's d_h neurons, unbounded above when the teacher is not known."""
+    """The expert under `prefix`, read by `gate`. Its indices name one teacher
+    neuron per column of its w_up and form an index set (`check_index_set`)
+    of the teacher's d_h neurons, unbounded above when it is not known."""
     name = prefix + "indices"
-    ex = ExpertFfn(**_swiglu_weights(tensors, prefix), source_indices=_integers(tensors, name))
-    idx = ex.source_indices
+    weights, idx = _swiglu_weights(tensors, prefix), _integers(tensors, name)
+    ex = _named(prefix, lambda: ExpertFfn(**weights, source_indices=idx))
+    _named(prefix, lambda: MoeLayer.check_expert(gate, ex))
     if len(idx) != ex.d_h:
         raise MftError(f"tensor {name!r} holds {len(idx)} indices for {ex.d_h} neurons")
     try:
@@ -90,12 +99,12 @@ def layer_from_tensors(
     k = _integers(tensors, "gate.k")
     if len(k) != 1:
         raise MftError(f"tensor 'gate.k' must hold one value, got {len(k)}")
-    experts = [_expert(tensors, f"expert.{i}.", teacher_d_h) for i in range(n)]
-    gate = GateNetwork(w_g=w_g, w_noise=w_noise, k=k[0])
+    gate = _named("gate.", lambda: GateNetwork(w_g=w_g, w_noise=w_noise, k=k[0]))
+    experts = [_expert(tensors, f"expert.{i}.", gate, teacher_d_h) for i in range(n)]
     residual = None
     if any(name.startswith("residual.") for name in tensors):
-        residual = _expert(tensors, "residual.", teacher_d_h)
-    return MoeLayer(experts=experts, gate=gate, residual_expert=residual)
+        residual = _expert(tensors, "residual.", gate, teacher_d_h)
+    return _named("gate.", lambda: MoeLayer(experts=experts, gate=gate, residual_expert=residual))
 
 
 def partition_to_json(p: ExpertPartition) -> str:

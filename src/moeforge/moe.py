@@ -98,6 +98,15 @@ class MoeLayer:
         n = len(self.experts)
         if self.gate.n_experts != n:
             raise ShapeError(f"gate sized for {self.gate.n_experts} experts, layer has {n}")
+        for ex in [*self.experts, self.residual_expert]:
+            if ex is not None:
+                MoeLayer.check_expert(self.gate, ex)
+
+    @staticmethod
+    def check_expert(gate: GateNetwork, ex: ExpertFfn) -> None:
+        """Every expert, the residual one too, reads the gate's input."""
+        if ex.d != gate.w_g.shape[0]:
+            raise ShapeError(f"expert has d={ex.d}, the gate d={gate.w_g.shape[0]}")
 
     @property
     def n_experts(self) -> int:
@@ -170,6 +179,12 @@ def cv_squared(values: np.ndarray) -> float:
     return float(v.var() / mean**2)
 
 
+def balance_sums(probs: np.ndarray, top: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-expert (N,) sums of the gate probabilities (B, N) and counts of
+    the selected experts `top`: the CV^2 of each is a balance loss."""
+    return probs.sum(axis=0), np.bincount(top.ravel(), minlength=probs.shape[1])
+
+
 def balance_loss(
     batch_routing: list[TokenRouting], gate_probs: list[np.ndarray]
 ) -> tuple[float, float]:
@@ -180,14 +195,10 @@ def balance_loss(
     """
     if not batch_routing or not gate_probs:
         raise ValueError("balance_loss requires a nonempty batch")
-    n = len(gate_probs[0])
-    importance = np.zeros(n)
-    for p in gate_probs:
-        importance += p
-    counts = np.zeros(n)
-    for r in batch_routing:
-        for i in r.experts:
-            counts[i] += 1
+    importance, counts = balance_sums(
+        np.asarray(gate_probs, dtype=np.float64),
+        np.concatenate([r.experts for r in batch_routing]),
+    )
     return cv_squared(importance), cv_squared(counts)
 
 

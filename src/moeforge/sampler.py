@@ -49,9 +49,9 @@ class DomainWeights:
         object.__setattr__(self, "weights", w)
 
     @staticmethod
-    def uniform(domains: tuple[str, ...] = DEFAULT_DOMAINS) -> "DomainWeights":
-        n = len(domains)
-        return DomainWeights(domains=domains, weights=np.full(n, 1.0 / n))
+    def uniform() -> "DomainWeights":
+        n = len(DEFAULT_DOMAINS)
+        return DomainWeights(domains=DEFAULT_DOMAINS, weights=np.full(n, 1.0 / n))
 
     @staticmethod
     def from_mapping(mapping: dict[str, float]) -> "DomainWeights":
@@ -94,13 +94,13 @@ class SamplerState:
         object.__setattr__(self, "reference_loss", loss)
 
     @staticmethod
-    def static(weights: DomainWeights, update_interval_tokens: int = 1) -> "SamplerState":
+    def static(weights: DomainWeights) -> "SamplerState":
         return SamplerState(
             current=weights,
             reference_weights=weights,
             reference_loss=np.zeros(len(weights.domains)),
             mode=SamplerMode.STATIC,
-            update_interval_tokens=update_interval_tokens,
+            update_interval_tokens=1,
         )
 
 

@@ -12,17 +12,6 @@ import functools
 
 import numpy as np
 
-__all__ = [
-    "ShapeError",
-    "as_matrix",
-    "as_rows",
-    "sigmoid",
-    "swish",
-    "softmax",
-    "top_k_indices",
-    "Rng",
-]
-
 _MASK64 = (1 << 64) - 1
 _XS_MUL = 0x2545F4914F6CDD1D
 # Block normal stream: up to _BLOCK draws at a time, from up to _LANES
@@ -152,13 +141,12 @@ def _lane_jumps(k: int) -> np.ndarray:
     return table
 
 
-def _splitmix64(x: int) -> tuple[int, int]:
-    """One splitmix64 step: returns (new_state, output)."""
-    x = (x + 0x9E3779B97F4A7C15) & _MASK64
-    z = x
+def _splitmix64(x: int) -> int:
+    """The output of one splitmix64 step from state x."""
+    z = (x + 0x9E3779B97F4A7C15) & _MASK64
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-    return x, z ^ (z >> 31)
+    return z ^ (z >> 31)
 
 
 class Rng:
@@ -171,8 +159,7 @@ class Rng:
     """
 
     def __init__(self, seed: int):
-        self.seed = seed & _MASK64
-        _, state = _splitmix64(self.seed)
+        state = _splitmix64(seed & _MASK64)
         self._state = state if state != 0 else 0x9E3779B97F4A7C15
         self._spare_normal: float | None = None
 

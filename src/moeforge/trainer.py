@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dense_ffn import EVAL_ROWS, DenseFfn, ExpertFfn, ffn_forward, row_chunks, swiglu_backward
-from .moe import GateNetwork, MoeLayer, cv_squared, dispatch, moe_forward, route
+from .moe import GateNetwork, MoeLayer, balance_sums, cv_squared, dispatch, moe_forward, route
 from .tensor import Rng, as_matrix, softmax
 
 
@@ -31,7 +31,6 @@ class DivergenceError(RuntimeError):
 
     def __init__(self, step: int, report: "TrainReport"):
         super().__init__(f"non-finite loss at step {step}")
-        self.step = step
         self.report = report
 
 
@@ -159,8 +158,7 @@ def batch_loss_and_grads(
     np.put_along_axis(dz, top, dz_sel, axis=1)
 
     probs = softmax(logits)
-    importance = probs.sum(axis=0)
-    counts = np.bincount(top.ravel(), minlength=n)
+    importance, counts = balance_sums(probs, top)
     imp_loss, load_loss = cv_squared(importance), cv_squared(counts)
     if balance_coeff != 0.0:
         # CV^2 of per-expert summed dense probabilities; the per-expert
@@ -247,7 +245,6 @@ def train_distill(
             report.routing_entropies.append(stats["routing_entropy"])
             report.lrs.append(lr)
             if not math.isfinite(loss):
-                report.final_mse = float("nan")
                 raise DivergenceError(step, report)
 
             _apply_sgd(layer, grads, lr)
@@ -260,7 +257,7 @@ def random_init_like(layer: MoeLayer, rng: Rng) -> MoeLayer:
     """Fresh layer with identical shapes, residual expert included, but
     gaussian expert weights. Experts draw in order, then the residual."""
     def fresh(ex: ExpertFfn) -> ExpertFfn:
-        w = DenseFfn.random(layer.d, ex.m, rng)
+        w = DenseFfn.random(layer.d, ex.d_h, rng)
         return ExpertFfn(w.w_up, w.w_gate, w.w_down, source_indices=ex.source_indices)
 
     experts = [fresh(ex) for ex in layer.experts]

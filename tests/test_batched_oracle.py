@@ -146,7 +146,7 @@ def residual_layer(seed):
     vecs = [base + 0.05 * np.abs(rng.normal_array((64,))) for _ in range(4)]
     part = split_sharing_inter(vecs, 16, residual_threshold=0.5)
     layer = assemble_moe(teacher, part, k=2, gate_init="random", seed=seed)
-    assert layer.residual_expert is not None and layer.residual_expert.m > 0
+    assert layer.residual_expert is not None and layer.residual_expert.d_h > 0
     return teacher, layer, rng
 
 

@@ -381,6 +381,10 @@ class TestSchedule:
         assert not os.path.exists(out)
 
 
+def swiglu_shapes(prefix, d, m):
+    return {prefix + "w_up": (d, m), prefix + "w_gate": (d, m), prefix + "w_down": (m, d)}
+
+
 class TestLayerFile:
     """A malformed layer file fed to `train` exits 3 with a message."""
 
@@ -473,6 +477,28 @@ class TestLayerFile:
         assert self.train(teacher_file, tmp_path, tensors) == EXIT_DATA
         assert f"missing tensor {name!r}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("prefix, shapes", [
+        ("gate.", {"gate.w_g": (8, 1)}),
+        ("gate.", {"gate.w_g": (6, 2)}),
+        ("gate.", {"gate.w_g": (8, 3), "gate.w_noise": (8, 3)}),
+        ("expert.0.", {"gate.w_g": (6, 2), "gate.w_noise": (6, 2)}),
+        ("expert.0.", swiglu_shapes("expert.0.", 6, 8)),
+        ("expert.1.", swiglu_shapes("expert.1.", 16, 8)),
+        ("expert.1.", {"expert.1.w_down": (8, 7)}),
+        ("residual.", swiglu_shapes("residual.", 6, 4)),
+    ], ids=["gate-cols", "gate-rows", "gate-experts", "gate-d", "expert0-d", "expert1-d",
+            "expert1-w_down", "residual-d"])
+    def test_inconsistent_shapes_name_tensors_and_file(
+        self, teacher_file, tmp_path, capsys, prefix, shapes
+    ):
+        # the teacher and the layer have d = 8, two experts of 8 neurons and
+        # a residual of 4; the reader takes d from the gate
+        tensors = self.tensors(teacher_file[1])
+        tensors.update({name: np.full(shape, 0.5) for name, shape in shapes.items()})
+        assert self.train(teacher_file, tmp_path, tensors) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert f"tensors {prefix}*" in err and str(tmp_path / "layer.mft") in err
+
 
 class TestAnalyze:
     HEADER = "token_id,domain,layer,expert,weight"
@@ -514,6 +540,15 @@ class TestAnalyze:
         assert run(["analyze", "--routing", path, "--out", str(out), *flags]) == EXIT_DATA
         assert "Unable to allocate" in capsys.readouterr().err
         assert not list(out.iterdir())
+
+    @pytest.mark.parametrize("experts", ["0", "-2"])
+    def test_nonpositive_experts_usage_error(self, tmp_path, experts):
+        path = self.write_csv(tmp_path, ["0,C4,0,0,1.0"])
+        out = tmp_path / "o"
+        with pytest.raises(SystemExit) as exc:
+            run(["analyze", "--routing", path, "--experts", experts, "--out", str(out)])
+        assert exc.value.code == EXIT_USAGE
+        assert not out.exists()
 
     def test_unknown_domain_cited(self, tmp_path, capsys):
         path = self.write_csv(tmp_path, ["0,NotADomain,0,0,1.0"])

@@ -186,14 +186,18 @@ def schedule_oracle(args) -> int:
 
 def run_cli(argv, command=None, oracle=None):
     """Exit code, stdout and stderr of `moeforge argv`, with `command`
-    replaced by `oracle` when both are given."""
+    replaced by `oracle` when both are given. A usage error is exit code 2,
+    as argparse gives it, not an exception."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.ExitStack() as stack:
         if oracle is not None:
             stack.enter_context(pytest.MonkeyPatch.context()).setattr(cli, command, oracle)
         stack.enter_context(contextlib.redirect_stdout(out))
         stack.enter_context(contextlib.redirect_stderr(err))
-        code = cli.main(argv)
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
     return code, out.getvalue(), err.getvalue()
 
 
