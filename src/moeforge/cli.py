@@ -218,11 +218,11 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
         choices=[m.value for m in PartitionMethod],
     )
-    sp.add_argument("--experts", type=int, required=True)
-    sp.add_argument("--topk", type=int, default=1)
+    sp.add_argument("--experts", type=at_least(1), required=True)
+    sp.add_argument("--topk", type=at_least(1), default=1)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--residual-threshold", type=float, default=0.5)
-    sp.add_argument("--importance-samples", type=int, default=64)
+    sp.add_argument("--importance-samples", type=at_least(1), default=64)
     sp.add_argument("--gate-init", choices=["zeros", "random"], default="zeros")
     sp.add_argument("--out-partition", required=True)
     sp.add_argument("--out-layer", required=True)

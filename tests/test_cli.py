@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 
@@ -33,6 +34,14 @@ def teacher_file(tmp_path):
 
 def run(argv):
     return main(argv)
+
+
+def exit_code(argv):
+    """`main`'s exit code, also when argparse exits on a usage error."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
 
 
 class TestSplit:
@@ -102,18 +111,31 @@ class TestSplit:
         )
         assert code == EXIT_DATA
 
-    @pytest.mark.parametrize("topk", ["9", "0"])
-    def test_bad_topk_writes_no_file(self, teacher_file, tmp_path, topk):
+    @pytest.mark.parametrize("topk, code", [("9", EXIT_DATA), ("0", EXIT_USAGE)],
+                             ids=["9", "0"])
+    def test_bad_topk_writes_no_file(self, teacher_file, tmp_path, topk, code):
+        # k > n fails in the gate; k = 0 already in argparse
         path, _ = teacher_file
         part, layer = tmp_path / "p.json", tmp_path / "l.mft"
-        code = run(
+        assert exit_code(
             [
                 "split", "--ffn", path, "--method", "independent_random",
                 "--experts", "4", "--topk", topk, "--seed", "0",
                 "--out-partition", str(part), "--out-layer", str(layer),
             ]
-        )
-        assert code == EXIT_DATA
+        ) == code
+        assert not part.exists() and not layer.exists()
+
+    @pytest.mark.parametrize("value", ["0", "-5"])
+    @pytest.mark.parametrize("option", ["--experts", "--topk", "--importance-samples"])
+    def test_nonpositive_count_usage_error(self, teacher_file, tmp_path, capsys, option, value):
+        path, _ = teacher_file
+        part, layer = tmp_path / "p.json", tmp_path / "l.mft"
+        argv = {"--experts": "4", "--topk": "2", "--importance-samples": "8", option: value}
+        assert exit_code(["split", "--ffn", path, "--method", "sharing_inter",
+                          *(x for item in argv.items() for x in item),
+                          "--out-partition", str(part), "--out-layer", str(layer)]) == EXIT_USAGE
+        assert f"must be at least 1, got {value}" in capsys.readouterr().err
         assert not part.exists() and not layer.exists()
 
     def test_missing_tensor(self, tmp_path):
@@ -146,6 +168,60 @@ class TestSplit:
                 (open(part_path, "rb").read(), open(layer_path, "rb").read())
             )
         assert outputs[0] == outputs[1]
+
+
+# the benchmark's desk and wide split shapes: d, d_h, --experts, --topk,
+# --importance-samples, --residual-threshold, --gate-init
+SPLIT_SHAPES = {
+    "desk": (128, 512, 8, 2, 256, 0.375, "random"),
+    "wide": (1024, 2752, 16, 4, 128, 0.25, "zeros"),
+}
+
+
+@pytest.fixture(scope="module")
+def shape_teachers(tmp_path_factory):
+    """Seed-1 teacher files at each split shape, written once per module."""
+    paths = {}
+
+    def teacher(shape):
+        if shape not in paths:
+            d, d_h = SPLIT_SHAPES[shape][:2]
+            paths[shape] = str(tmp_path_factory.mktemp(shape) / "teacher.mft")
+            ffn_to_mft(paths[shape], DenseFfn.random(d, d_h, Rng(1)))
+        return paths[shape]
+
+    return teacher
+
+
+@pytest.mark.parametrize("shape, method, part_digest, layer_digest", [
+    ("desk", "sharing_inner",
+     "ee11d602eb90a2fb0d982044bb48886bc916555df7a014e59fd227fb04e04dc4",
+     "797e22013f13c48d503d2138120649c9d977f4d60999c7cbbd45e53cec1566df"),
+    ("desk", "sharing_inter",
+     "f9bd2db2ab688d91f87470ddc42632189bc5a5825a3c7064d4ab4f7b8354732c",
+     "93a5968c1b320db9dcd33713963c793ac509cbb3328ad855dddbdc5194032b51"),
+    ("wide", "sharing_inner",
+     "b308917817ce04b7bdbab7c2a56b420fd7ab7b91afa302d33c2092804b3ab8fa",
+     "bf18baec0aa6677b11bcd8eac259817956adf1c5cd92a50e16d0471480b798e8"),
+    ("wide", "sharing_inter",
+     "cb215bfc3b26a19f40a0477a0195dea151d1a2e9e7391236ee0ded96567b8aec",
+     "0a6ba3f2879ada9e345c7cb5ed3f4d49f5446e6da72a056d031182493e8128a7"),
+], ids=["desk-inner", "desk-inter", "wide-inner", "wide-inter"])
+def test_sharing_split_outputs_are_pinned(
+    shape_teachers, tmp_path, shape, method, part_digest, layer_digest
+):
+    # what `split` writes, byte for byte, at seed 1; a change to how
+    # importance is scored must not move a single neuron or weight
+    _, _, n, k, samples, threshold, gate_init = SPLIT_SHAPES[shape]
+    part, layer = tmp_path / "part.json", tmp_path / "layer.mft"
+    assert run([
+        "split", "--ffn", shape_teachers(shape), "--method", method,
+        "--experts", str(n), "--topk", str(k), "--seed", "1",
+        "--importance-samples", str(samples), "--residual-threshold", str(threshold),
+        "--gate-init", gate_init, "--out-partition", str(part), "--out-layer", str(layer),
+    ]) == EXIT_OK
+    assert hashlib.sha256(part.read_bytes()).hexdigest() == part_digest
+    assert hashlib.sha256(layer.read_bytes()).hexdigest() == layer_digest
 
 
 class TestTrain:

@@ -683,7 +683,7 @@ def one_edit_files(draw):
         st.tuples(one_edit_files(), st.just("\n")),
         st.tuples(one_edit_files(), st.sampled_from(["\n", "\r\n", "\r"])),
     ),
-    experts=st.sampled_from([None, 0, 2, 4]),
+    experts=st.sampled_from([None, 1, 2, 4]),
     domains=st.sampled_from([None, "C4,arXiv,GitHub"]),
     bad_header=st.integers(0, 30),
 )
