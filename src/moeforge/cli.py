@@ -204,6 +204,14 @@ def at_least(low: int):
     return count
 
 
+def fraction(text: str) -> float:
+    """argparse type for a float in (0, 1]."""
+    value = float(text)
+    if not 0.0 < value <= 1.0:
+        raise argparse.ArgumentTypeError(f"must lie in (0, 1], got {text}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="moeforge",
@@ -221,7 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--experts", type=at_least(1), required=True)
     sp.add_argument("--topk", type=at_least(1), default=1)
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--residual-threshold", type=float, default=0.5)
+    sp.add_argument("--residual-threshold", type=fraction, default=0.5)
     sp.add_argument("--importance-samples", type=at_least(1), default=64)
     sp.add_argument("--gate-init", choices=["zeros", "random"], default="zeros")
     sp.add_argument("--out-partition", required=True)

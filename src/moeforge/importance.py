@@ -2,11 +2,11 @@
 
 Each sample contributes |h * grad_h| to its group's importance vector,
 where h is the FFN's intermediate activation and grad_h the loss gradient
-pulled back from the output (the first-order Taylor criterion; it never
-needs the output y itself). The loss is abstracted: callers supply grad_y
-per sample (for a squared-error loss, grad_y = y - target). Samples are
-(x, grad_y) pairs, held as one (N, 2, d) array and checked once. All groups
-are scored in one pass over the samples, EVAL_ROWS rows at a time, so the
+pulled back from the output (the first-order Taylor criterion). The loss
+is squared error: samples are (x, target) pairs, held as one (N, 2, d)
+array and checked once, and grad_y = y - target. All groups are scored in
+one pass over the samples, EVAL_ROWS rows at a time, and each chunk runs
+the teacher forward once: its h gives both y and the score, so the
 teacher's weights are read once per chunk, not once per group.
 """
 
@@ -16,15 +16,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dense_ffn import DenseFfn, ffn_forward, row_chunks, swiglu_hidden
+from .dense_ffn import DenseFfn, row_chunks, swiglu_hidden
 from .partition import kmeans
 from .tensor import Rng
 
 
 @dataclass
 class DataGroup:
-    """(input, output-gradient) pairs: an (N, 2, d) array or a list of
-    (x, grad_y) tuples."""
+    """(input, target) pairs: an (N, 2, d) array or a list of (x, target)
+    tuples."""
 
     samples: list[tuple[np.ndarray, np.ndarray]] | np.ndarray = field(default_factory=list)
 
@@ -47,7 +47,9 @@ def accumulate_importance(
     values = np.zeros((n, ffn.d_h))
     for chunk, chunk_labels in zip(row_chunks(pairs), row_chunks(labels)):
         h = swiglu_hidden(chunk[:, 0], ffn.w_up, ffn.w_gate).h
-        h *= chunk[:, 1] @ ffn.w_down.T
+        grad_y = h @ ffn.w_down
+        grad_y -= chunk[:, 1]
+        h *= grad_y @ ffn.w_down.T
         # a Python loop: np.add.at adds in the same order but is ~8x slower
         # on (64, 2752) rows
         for c, row in zip(chunk_labels.tolist(), np.abs(h, out=h)):
@@ -66,7 +68,7 @@ def group_data_by_clustering(
 
 
 def importance_by_groups(ffn: DenseFfn, pairs: np.ndarray, n: int, rng: Rng) -> list[np.ndarray]:
-    """Cluster the inputs `pairs[:, 0]` of (N, 2, d) (x, grad_y) pairs into n
+    """Cluster the inputs `pairs[:, 0]` of (N, 2, d) (x, target) pairs into n
     groups and score them in one pass; one importance vector per group, in
     group order."""
     labels = np.empty(len(pairs), dtype=np.intp)
@@ -77,12 +79,8 @@ def importance_by_groups(ffn: DenseFfn, pairs: np.ndarray, n: int, rng: Rng) -> 
 
 def synthetic_importance(ffn: DenseFfn, n: int, seed: int, num_samples: int) -> list[np.ndarray]:
     """Importance vectors from seeded synthetic data: gaussian inputs,
-    squared-error loss against gaussian targets (grad_y = y - target)."""
+    squared-error loss against gaussian targets."""
     rng = Rng(seed ^ 0xDA7A)
-    # per sample: x, then its target, as consecutive draws; the target half
-    # is then overwritten with grad_y, chunk by chunk
+    # per sample: x, then its target, as consecutive draws
     pairs = rng.normal_array((num_samples, 2, ffn.d))
-    for chunk in row_chunks(pairs):
-        y, _ = ffn_forward(ffn, chunk[:, 0])
-        chunk[:, 1] = y - chunk[:, 1]
     return importance_by_groups(ffn, pairs, n, rng)

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dense_ffn import DenseFfn, ExpertFfn, SwigluCache, swiglu_forward
-from .partition import slice_expert
+from .partition import slice_expert, slice_experts
 from .tensor import Rng, ShapeError, as_matrix, as_rows, softmax, top_k_indices
 
 
@@ -223,7 +223,7 @@ def assemble_moe(
     else:
         raise ValueError(f"unknown gate_init {gate_init!r}")
     gate = GateNetwork(w_g=w_g, w_noise=np.zeros((ffn.d, n)), k=k)
-    experts = [slice_expert(ffn, s) for s in partition.sets]
+    experts = slice_experts(ffn, partition.sets)
     residual = None
     if partition.shared_residual:
         residual = slice_expert(ffn, partition.shared_residual)

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dense_ffn import DenseFfn, ExpertFfn
+from .dense_ffn import EVAL_ROWS, DenseFfn, ExpertFfn
 from .tensor import Rng, top_k_indices
 
 KMEANS_ITERS = 100
@@ -198,14 +198,30 @@ def split_sharing_inter(
     )
 
 
+def slice_experts(ffn: DenseFfn, sets) -> list[ExpertFfn]:
+    """Cut one expert per index set out of the dense FFN: columns s of
+    W_up/W_gate, rows s of W_down, in index order. The sets must share one
+    size m. Each weight is gathered once, into one (n, d, m) or (n, m, d)
+    array, and expert j holds row-major views of its slice j. W_up/W_gate
+    are gathered EVAL_ROWS teacher rows at a time, so the only temporary is
+    one such block and never a (d, n*m) array."""
+    cols = [check_index_set(s, ffn.d_h) for s in sets]
+    sizes = sorted({len(c) for c in cols})
+    if len(sizes) > 1:
+        raise ValueError(f"expert index sets must share one size, got sizes {sizes}")
+    idx = np.array(cols, dtype=np.intp)
+    down = ffn.w_down[idx]
+    up, gate = (np.empty((len(idx), ffn.d, idx.shape[1])) for _ in range(2))
+    for w, out in ((ffn.w_up, up), (ffn.w_gate, gate)):
+        for lo in range(0, ffn.d, EVAL_ROWS):
+            hi = lo + EVAL_ROWS
+            out[:, lo:hi] = np.take(w[lo:hi], idx, axis=1).transpose(1, 0, 2)
+    return [
+        ExpertFfn(w_up=up[j], w_gate=gate[j], w_down=down[j], source_indices=tuple(row))
+        for j, row in enumerate(idx.tolist())
+    ]
+
+
 def slice_expert(ffn: DenseFfn, s) -> ExpertFfn:
-    """Cut an expert out of the dense FFN: columns s of W_up/W_gate, rows s
-    of W_down, in index order, each a new row-major array (`w[:, cols]`
-    would be column-major)."""
-    cols = check_index_set(s, ffn.d_h).astype(int)
-    return ExpertFfn(
-        w_up=np.take(ffn.w_up, cols, axis=1),
-        w_gate=np.take(ffn.w_gate, cols, axis=1),
-        w_down=ffn.w_down[cols],
-        source_indices=tuple(cols.tolist()),
-    )
+    """One expert cut out of the dense FFN; see `slice_experts`."""
+    return slice_experts(ffn, [s])[0]

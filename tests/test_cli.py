@@ -138,6 +138,33 @@ class TestSplit:
         assert f"must be at least 1, got {value}" in capsys.readouterr().err
         assert not part.exists() and not layer.exists()
 
+    @pytest.mark.parametrize("value", ["5", "0", "-1", "nan", "1.0001", "half"])
+    @pytest.mark.parametrize("method", [
+        "independent_random", "independent_clustering", "sharing_inner", "sharing_inter",
+    ])
+    def test_residual_threshold_outside_unit_interval(
+        self, teacher_file, tmp_path, capsys, method, value
+    ):
+        # a usage error for every method, not only the one that reads it
+        path, _ = teacher_file
+        part, layer = tmp_path / "p.json", tmp_path / "l.mft"
+        assert exit_code([
+            "split", "--ffn", path, "--method", method, "--experts", "4",
+            "--residual-threshold", value,
+            "--out-partition", str(part), "--out-layer", str(layer),
+        ]) == EXIT_USAGE
+        assert "--residual-threshold" in capsys.readouterr().err
+        assert not part.exists() and not layer.exists()
+
+    @pytest.mark.parametrize("value", ["1", "1e-9"])
+    def test_residual_threshold_inside_unit_interval(self, teacher_file, tmp_path, value):
+        path, _ = teacher_file
+        assert run([
+            "split", "--ffn", path, "--method", "independent_random", "--experts", "4",
+            "--residual-threshold", value, "--out-partition", str(tmp_path / "p.json"),
+            "--out-layer", str(tmp_path / "l.mft"),
+        ]) == EXIT_OK
+
     def test_missing_tensor(self, tmp_path):
         bad = str(tmp_path / "bad.mft")
         write_mft(bad, {"w_up": np.ones((2, 4)), "w_gate": np.ones((2, 4))})
@@ -212,16 +239,47 @@ def test_sharing_split_outputs_are_pinned(
 ):
     # what `split` writes, byte for byte, at seed 1; a change to how
     # importance is scored must not move a single neuron or weight
+    assert split_digests(shape_teachers(shape), tmp_path, shape, method) == (
+        part_digest, layer_digest
+    )
+
+
+@pytest.mark.parametrize("shape, method, part_digest, layer_digest", [
+    ("desk", "independent_random",
+     "19bffe7e59b90c6339b13767d2d3b9ddef388e838cd44e1142b75d784447464d",
+     "a12957021cdf2b62a92277a3f9bde702c387710c99c7408fbabc45b7fd1b9c0b"),
+    ("desk", "independent_clustering",
+     "3eeb0cfa1391294dd6665290a1c39fb618af116cbb55b4e0d0c5adecb226737d",
+     "8e2034f49b4f47ce28df51833f63c5a314eecb33daffd26344bb7b806b43a393"),
+    ("wide", "independent_random",
+     "5339ea93afbd78b3267206819e3ac5db2d05f0112b46f63276805978c4ad4c33",
+     "f7289f3c5cae1d1b5c6428cb28bae6ffefb130e7868e0d829ed83bc22ef7dd19"),
+    ("wide", "independent_clustering",
+     "c57abd4cb98bcef6de071e16cf591421f90568236b63de108622ac1ba6e65828",
+     "c4bbdd3fabfb7561df83dcbafb5cd80dedbda3c03742784462f17cb1d7754a6c"),
+], ids=["desk-random", "desk-clustering", "wide-random", "wide-clustering"])
+def test_independent_split_outputs_are_pinned(
+    shape_teachers, tmp_path, shape, method, part_digest, layer_digest
+):
+    # what `split` writes, byte for byte, at seed 1; a change to how experts
+    # are sliced must not move a single weight
+    assert split_digests(shape_teachers(shape), tmp_path, shape, method) == (
+        part_digest, layer_digest
+    )
+
+
+def split_digests(teacher, tmp_path, shape, method):
+    """sha256 of the partition JSON and the layer MFT that `split` writes
+    for `teacher` at a SPLIT_SHAPES shape and seed 1."""
     _, _, n, k, samples, threshold, gate_init = SPLIT_SHAPES[shape]
     part, layer = tmp_path / "part.json", tmp_path / "layer.mft"
     assert run([
-        "split", "--ffn", shape_teachers(shape), "--method", method,
+        "split", "--ffn", teacher, "--method", method,
         "--experts", str(n), "--topk", str(k), "--seed", "1",
         "--importance-samples", str(samples), "--residual-threshold", str(threshold),
         "--gate-init", gate_init, "--out-partition", str(part), "--out-layer", str(layer),
     ]) == EXIT_OK
-    assert hashlib.sha256(part.read_bytes()).hexdigest() == part_digest
-    assert hashlib.sha256(layer.read_bytes()).hexdigest() == layer_digest
+    return tuple(hashlib.sha256(p.read_bytes()).hexdigest() for p in (part, layer))
 
 
 class TestTrain:

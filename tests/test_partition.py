@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from moeforge.partition import (
     ExpertPartition,
     PartitionMethod,
     slice_expert,
+    slice_experts,
     split_independent_clustering,
     split_independent_random,
     split_sharing_inner,
@@ -213,6 +215,72 @@ class TestSliceExpert:
                 y, _ = ffn_forward(ffn, x)
                 total = sum(e.forward(x) for e in experts)
                 assert np.abs(total - y).max() <= 1e-9
+
+
+def take_expert(ffn, s):
+    """Oracle: one expert cut out by its own three gathers."""
+    cols = np.asarray(s)
+    return (np.take(ffn.w_up, cols, axis=1), np.take(ffn.w_gate, cols, axis=1),
+            ffn.w_down[cols])
+
+
+class TestSliceExperts:
+    @pytest.mark.parametrize("d", [1, 63, 64, 65, 130])
+    @pytest.mark.parametrize("n", [1, 4])
+    def test_matches_per_expert_take_bitwise(self, d, n):
+        # row blocks of EVAL_ROWS = 64: one short block, exact blocks, a tail
+        ffn = DenseFfn.random(d, 24, Rng(d))
+        sets = split_independent_random(24, n, Rng(n)).sets
+        self.assert_matches_oracle(ffn, sets)
+
+    def test_overlapping_sharing_sets(self):
+        ffn = DenseFfn.random(65, 40, Rng(31))
+        vecs = [np.abs(Rng(32 + i).normal_array((40,))) for i in range(5)]
+        sets = split_sharing_inner(vecs, 12).sets
+        assert len(set().union(*map(set, sets))) < 5 * 12
+        self.assert_matches_oracle(ffn, sets)
+
+    @staticmethod
+    def assert_matches_oracle(ffn, sets):
+        experts = slice_experts(ffn, sets)
+        assert len(experts) == len(sets)
+        for ex, s in zip(experts, sets):
+            assert ex.source_indices == tuple(s)
+            for w, expect in zip((ex.w_up, ex.w_gate, ex.w_down), take_expert(ffn, s)):
+                assert w.flags["C_CONTIGUOUS"] and w.shape == expect.shape
+                assert w.tobytes() == expect.tobytes()
+
+    def test_unequal_sizes(self):
+        ffn = DenseFfn.random(4, 8, Rng(33))
+        with pytest.raises(ValueError, match=r"sizes \[2, 3\]"):
+            slice_experts(ffn, [(0, 1), (2, 3, 4)])
+
+    def test_experts_do_not_share_writes(self):
+        # training updates expert weights in place, each on its own
+        ffn = DenseFfn.random(5, 12, Rng(35))
+        experts = slice_experts(ffn, split_independent_random(12, 3, Rng(36)).sets)
+        before = [[w.copy() for w in (e.w_up, e.w_gate, e.w_down)] for e in experts]
+        experts[1].w_up[...] = 7.0
+        for j, ex in enumerate(experts):
+            if j != 1:
+                for w, old in zip((ex.w_up, ex.w_gate, ex.w_down), before[j]):
+                    assert np.array_equal(w, old)
+        assert not np.shares_memory(experts[1].w_up, ffn.w_up)
+
+    def test_memory_is_bounded(self):
+        # a one-shot np.take of W_up would add a (d, n*m) temporary of 8 MB
+        # here; gathered in row blocks, the peak stays near the experts' bytes
+        d, d_h, n = 512, 2048, 8
+        ffn = DenseFfn.random(d, d_h, Rng(37))
+        sets = split_independent_random(d_h, n, Rng(38)).sets
+        tracemalloc.start()
+        try:
+            experts = slice_experts(ffn, sets)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert sum(e.param_count() for e in experts) * 8 == 3 * d * d_h * 8
+        assert peak < 3 * d * d_h * 8 + 3 * 2**20
 
 
 class TestIndexSets:
