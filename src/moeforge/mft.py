@@ -30,14 +30,11 @@ class MftError(ValueError):
 def write_mft(path: str, tensors: dict[str, np.ndarray]) -> None:
     """Write `tensors` in order; a C-contiguous little-endian float64 array
     goes to the file straight from its own buffer."""
-    names = list(tensors.keys())
-    if len(set(names)) != len(names):
-        raise MftError("tensor names must be unique")
     with open(path, "wb") as f:
         f.write(MAGIC)
-        f.write(struct.pack("<I", len(names)))
-        for name in names:
-            arr = np.ascontiguousarray(tensors[name], dtype="<f8")
+        f.write(struct.pack("<I", len(tensors)))
+        for name, tensor in tensors.items():
+            arr = np.ascontiguousarray(tensor, dtype="<f8")
             nb = name.encode("utf-8")
             f.write(struct.pack(f"<I{len(nb)}sI{arr.ndim}Q", len(nb), nb, arr.ndim, *arr.shape))
             f.write(arr)

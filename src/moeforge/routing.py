@@ -23,6 +23,8 @@ ROUTING_HEADER = ["token_id", "domain", "layer", "expert", "weight"]
 _PLAIN_HEADER = ",".join(ROUTING_HEADER).encode("ascii")
 _PLAIN_BYTES = bytes(range(0x21, 0x7F)).translate(None, b'#"') + b"\r\n"
 _PLAIN_PIECE = 1 << 20
+# The largest (layers, experts, domains) count table collect_routing allocates
+MAX_COUNTS = 1 << 24
 
 
 @dataclass(frozen=True)
@@ -102,8 +104,14 @@ def collect_routing(
     Selections are one bincount over the flat (layer, expert, domain) index;
     tokens per domain are the distinct (domain, token) pairs. A bad record
     raises as a loop over the records would: the first one in order, its
-    layer checked first, then its expert, then its domain label.
+    layer checked first, then its expert, then its domain label. A table
+    of more than MAX_COUNTS counts is refused before anything is allocated.
     """
+    if n_layers * n_experts * len(domains) > MAX_COUNTS:
+        raise ValueError(
+            f"count table of {n_layers} layers x {n_experts} experts x "
+            f"{len(domains)} domains exceeds {MAX_COUNTS} counts"
+        )
     if not isinstance(records, RoutingColumns):
         records = RoutingColumns.from_records(records, domains)
     token_id, code = records.token_id, records.code

@@ -8,16 +8,15 @@ need (masked softmax, branch-free sigmoid).
 
 from __future__ import annotations
 
-import functools
-
 import numpy as np
 
 _MASK64 = (1 << 64) - 1
-_XS_MUL = 0x2545F4914F6CDD1D
-# Block normal stream: up to _BLOCK draws at a time, from up to _LANES
-# contiguous runs of the xorshift64* stream stepped together.
+# splitmix64: the state increment and the two multipliers of the output mix
+_GAMMA = 0x9E3779B97F4A7C15
+_MIX_A = 0xBF58476D1CE4E5B9
+_MIX_B = 0x94D049BB133111EB
+# Bulk draws are made at most _BLOCK at a time, which bounds their temporaries
 _BLOCK = 1 << 16
-_LANES = 256
 
 
 class ShapeError(ValueError):
@@ -94,98 +93,36 @@ def top_k_indices(values: np.ndarray, k: int) -> np.ndarray:
     return np.sort(np.argsort(-values, axis=-1, kind="stable")[..., :k], axis=-1)
 
 
-def _box_muller(u1, u2):
-    """The (cos, sin) normal pair of Box-Muller for uniforms u1 in (0, 1)
-    and u2 in [0, 1); scalars or arrays alike."""
-    r = np.sqrt(-2.0 * np.log(u1))
-    theta = 2.0 * np.pi * u2
-    return r * np.cos(theta), r * np.sin(theta)
-
-
-def _xorshift(x: np.ndarray) -> np.ndarray:
-    """One xorshift (12, 25, 27) step of each uint64 state, in place."""
-    x ^= x >> 12
-    x ^= x << 25
-    x ^= x >> 27
-    return x
-
-
-def _apply_gf2(cols: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """The GF(2)-linear map whose image of bit i is cols[i], applied to each
-    uint64 in x: the xor of one lookup per byte of x, in tables of the
-    images of all 256 values of each byte, built by doubling over its bits."""
-    table = np.zeros((8, 256), dtype=np.uint64)  # [byte][value]
-    for i, image in enumerate(cols.reshape(8, 8).T):  # bit i of every byte
-        table[:, 1 << i:2 << i] = table[:, :1 << i] ^ image[:, None]
-    x_bytes = np.ascontiguousarray(x, dtype="<u8").view(np.uint8).reshape(-1, 8)
-    out = table[0, x_bytes[:, 0]]
-    for byte in range(1, 8):
-        out ^= table[byte, x_bytes[:, byte]]
-    return out
-
-
-@functools.cache
-def _lane_jumps(k: int) -> np.ndarray:
-    """(_LANES, 64): row j holds the columns of the xorshift step to the
-    power j * 2**k, the jump to lane j of a block of 2**k-draw lanes. A map
-    applied to its own columns is squared; rows [2**a, 2**(a+1)) are rows
-    [0, 2**a) after the jump of 2**(k+a) draws."""
-    table = (np.uint64(1) << np.arange(64, dtype=np.uint64))[None, :]  # the identity
-    jump = _xorshift(table[0].copy())
-    for _ in range(k):
-        jump = _apply_gf2(jump, jump)
-    while len(table) < _LANES:
-        table = np.concatenate([table, _apply_gf2(jump, table.reshape(-1)).reshape(table.shape)])
-        jump = _apply_gf2(jump, jump)
-    table.setflags(write=False)  # cached and shared by every Rng
-    return table
-
-
-def _splitmix64(x: int) -> int:
-    """The output of one splitmix64 step from state x."""
-    z = (x + 0x9E3779B97F4A7C15) & _MASK64
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-    return z ^ (z >> 31)
-
-
 class Rng:
-    """Deterministic 64-bit generator: splitmix64 seeding, xorshift64* stream.
+    """Deterministic 64-bit generator: the splitmix64 stream.
 
-    The stream is specified bit-exactly: the seed is run through one
-    splitmix64 step to produce the initial nonzero state; each draw applies
-    xorshift (12, 25, 27) and multiplies by 0x2545F4914F6CDD1D, returning
-    the full 64-bit product. Identical seeds give identical streams.
+    The stream is specified bit-exactly. The state starts at seed mod 2**64.
+    Each draw adds gamma = 0x9E3779B97F4A7C15 to the state and returns the
+    mix z ^= z >> 30; z *= 0xBF58476D1CE4E5B9; z ^= z >> 27;
+    z *= 0x94D049BB133111EB; z ^= z >> 31 of the new state, all mod 2**64.
+    A uniform is (draw >> 11) * 2**-53. Normals are the Box-Muller pairs of
+    consecutive uniforms (1 - u1, u2), and an odd count drops the sin half
+    of its last pair. Draw i depends only on state + i * gamma, so a block
+    of draws is one array expression and equals as many single draws.
+    Identical seeds give identical streams.
     """
 
     def __init__(self, seed: int):
-        state = _splitmix64(seed & _MASK64)
-        self._state = state if state != 0 else 0x9E3779B97F4A7C15
-        self._spare_normal: float | None = None
+        self._state = seed & _MASK64
 
     def next_u64(self) -> int:
-        x = self._state
-        x ^= x >> 12
-        x = (x ^ (x << 25)) & _MASK64
-        x ^= x >> 27
-        self._state = x
-        return (x * _XS_MUL) & _MASK64
+        self._state = z = (self._state + _GAMMA) & _MASK64
+        z = ((z ^ (z >> 30)) * _MIX_A) & _MASK64
+        z = ((z ^ (z >> 27)) * _MIX_B) & _MASK64
+        return z ^ (z >> 31)
 
     def next_float(self) -> float:
-        """Uniform in [0, 1) with 53 random bits."""
+        """Uniform in [0, 1) with 53 random bits: (next_u64() >> 11) * 2**-53."""
         return (self.next_u64() >> 11) * (1.0 / (1 << 53))
 
     def next_normal(self) -> float:
-        """Standard normal via Box-Muller (spare value cached)."""
-        if self._spare_normal is not None:
-            z, self._spare_normal = self._spare_normal, None
-            return z
-        u1 = self.next_float()
-        while u1 == 0.0:
-            u1 = self.next_float()
-        z, spare = _box_muller(u1, self.next_float())
-        self._spare_normal = float(spare)
-        return float(z)
+        """One standard normal: normal_array(()), which takes two draws."""
+        return float(self.normal_array(()))
 
     def next_below(self, n: int) -> int:
         """Uniform integer in [0, n) by rejection (no modulo bias)."""
@@ -205,67 +142,44 @@ class Rng:
         return items
 
     def normal_array(self, shape, scale: float = 1.0) -> np.ndarray:
-        """Consecutive next_normal() draws in C order, times `scale`.
+        """Standard normals in C order, times `scale`.
 
-        The values and the generator state left behind, spare normal
-        included, are bit-identical to drawing one next_normal() at a time;
-        the stream is generated and transformed in blocks of numpy arrays.
+        Each consecutive pair of next_float() draws (u1, u2) gives the
+        Box-Muller pair of (1 - u1, u2); 1 - u1 lies in (0, 1], so nothing
+        is ever redrawn. An odd count drops the sin half of its last pair. The
+        draws are made _BLOCK at a time, which bounds the temporaries.
         """
         n = int(np.prod(shape))
-        out = np.empty(n)
-        done = 0
-        if n and self._spare_normal is not None:
-            out[0], self._spare_normal = self._spare_normal, None
-            done = 1
-        while done < n:
-            count = min(n - done, _BLOCK)
-            if count == 1:  # the last value opens a pair; its sin half is the spare
-                pair = np.empty(2)
-                self._fill_pairs(pair)
-                out[done], self._spare_normal = pair[0], float(pair[1])
-                break
-            count -= count % 2
-            self._fill_pairs(out[done:done + count])
-            done += count
+        out = np.empty(n + n % 2)
+        for start in range(0, len(out), _BLOCK):
+            pairs = out[start:start + _BLOCK]
+            u = self._floats(len(pairs))
+            r = np.sqrt(-2.0 * np.log(1.0 - u[0::2]))
+            theta = 2.0 * np.pi * u[1::2]
+            pairs[0::2], pairs[1::2] = r * np.cos(theta), r * np.sin(theta)
+        out = out[:n]
         out *= scale
         return out.reshape(shape)
 
-    def _fill_pairs(self, out: np.ndarray) -> None:
-        """Fill `out` (even length, no spare pending) with Box-Muller pairs
-        from the next len(out) draws of the stream."""
-        start = self._state
-        u = (self._u64_block(len(out)) >> 11).astype(np.float64)
-        u *= 1.0 / (1 << 53)
-        u1, u2 = u[0::2], u[1::2]
-        if u1.all():
-            out[0::2], out[1::2] = _box_muller(u1, u2)
-            return
-        # next_normal redraws a zero u1, which shifts every later pair
-        self._state = start
-        for i in range(len(out)):
-            out[i] = self.next_normal()
-
     def _u64_block(self, count: int) -> np.ndarray:
-        """The next `count` next_u64() outputs as uint64, advancing the state.
+        """The next `count` next_u64() outputs as uint64, advancing the state:
+        the splitmix64 mix of state + gamma * [1, ..., count]."""
+        z = np.arange(1, count + 1, dtype=np.uint64)
+        z *= np.uint64(_GAMMA)
+        z += np.uint64(self._state)
+        self._state = (self._state + count * _GAMMA) & _MASK64
+        z ^= z >> np.uint64(30)
+        z *= np.uint64(_MIX_A)
+        z ^= z >> np.uint64(27)
+        z *= np.uint64(_MIX_B)
+        z ^= z >> np.uint64(31)
+        return z
 
-        The stream is cut into `lanes` contiguous runs of `steps` draws. Each
-        run's start state is the current state under the run's jump-ahead
-        map from `_lane_jumps`, and then all runs step together.
-        """
-        steps = 1 << (-(-count // _LANES) - 1).bit_length()
-        lanes = -(-count // steps)
-        bits = (np.uint64(self._state) >> np.arange(64, dtype=np.uint64)) & np.uint64(1)
-        table = _lane_jumps(steps.bit_length() - 1)
-        states = np.bitwise_xor.reduce(table[:lanes, bits.astype(bool)], axis=1)
-        out = np.empty((lanes, steps), dtype=np.uint64)
-        last_lane, last_step = divmod(count - 1, steps)
-        mul = np.uint64(_XS_MUL)
-        for t in range(steps):
-            _xorshift(states)
-            np.multiply(states, mul, out=out[:, t])
-            if t == last_step:
-                self._state = int(states[last_lane])
-        return out.reshape(-1)[:count]
+    def _floats(self, count: int) -> np.ndarray:
+        """The next `count` next_float() values as float64."""
+        u = (self._u64_block(count) >> np.uint64(11)).astype(np.float64)
+        u *= 1.0 / (1 << 53)
+        return u
 
     def choice_weighted(self, weights: np.ndarray, count: int | None = None):
         """Index drawn with probability proportional to `weights` (sum ~ 1).
@@ -290,8 +204,7 @@ class Rng:
         edges, scale = np.cumsum(w), float(np.sum(weights))
         out = np.empty(count, dtype=np.intp)
         for start in range(0, count, _BLOCK):
-            u = (self._u64_block(min(count - start, _BLOCK)) >> 11).astype(np.float64)
-            u *= 1.0 / (1 << 53)
+            u = self._floats(min(count - start, _BLOCK))
             u *= scale
             out[start:start + len(u)] = np.searchsorted(edges, u, side="right")
         return np.minimum(out, len(w) - 1, out=out)

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dense_ffn import EVAL_ROWS, DenseFfn, ExpertFfn, ffn_forward, row_chunks, swiglu_backward
+from .dense_ffn import DenseFfn, ExpertFfn, ffn_forward, row_chunks, swiglu_backward
 from .moe import GateNetwork, MoeLayer, balance_sums, cv_squared, dispatch, moe_forward, route
 from .tensor import Rng, as_matrix, softmax
 
@@ -198,13 +198,12 @@ def _apply_sgd(layer: MoeLayer, grads: LayerGrads, lr: float) -> None:
 
 def distill_mse(layer: MoeLayer, teacher: DenseFfn, xs) -> float:
     """Mean 0.5 * ||moe(x) - ffn(x)||^2 over the given inputs (a list of
-    (d,) vectors or a (B, d) array), noise off. Rows go through in chunks
-    of EVAL_ROWS, so memory does not grow with the number of inputs."""
+    (d,) vectors or a (B, d) array), noise off. Rows go through in
+    `row_chunks` pieces, so memory does not grow with the number of inputs."""
     x = as_matrix(xs, cols=layer.d)
     total = 0.0
     with np.errstate(over="ignore", invalid="ignore"):  # a diverged layer gives nan
-        # fixed EVAL_ROWS pieces, not even ones: each piece's sum is a term of the total
-        for chunk in np.split(x, range(EVAL_ROWS, len(x), EVAL_ROWS)):
+        for chunk in row_chunks(x):
             y, _ = moe_forward(layer, chunk)
             t, _ = ffn_forward(teacher, chunk)
             total += 0.5 * float(np.einsum("bd,bd->", y - t, y - t))

@@ -222,17 +222,17 @@ def shape_teachers(tmp_path_factory):
 
 @pytest.mark.parametrize("shape, method, part_digest, layer_digest", [
     ("desk", "sharing_inner",
-     "ee11d602eb90a2fb0d982044bb48886bc916555df7a014e59fd227fb04e04dc4",
-     "797e22013f13c48d503d2138120649c9d977f4d60999c7cbbd45e53cec1566df"),
+     "129947b010606e4e684e135f72132d9ad7e87294818cd8a989927325b0a3242c",
+     "1666d831b460ab867083684d3124828b26973112e22da29cb9d6626bb0260751"),
     ("desk", "sharing_inter",
-     "f9bd2db2ab688d91f87470ddc42632189bc5a5825a3c7064d4ab4f7b8354732c",
-     "93a5968c1b320db9dcd33713963c793ac509cbb3328ad855dddbdc5194032b51"),
+     "233e2e7a6d4f3aee90b0d36a5dc98199bb81d908fa14e2c18538df7cccf231e2",
+     "81ed87dca5531eefe62b24283b75cb6cabeb4616193dc99473da2e921aa22418"),
     ("wide", "sharing_inner",
-     "b308917817ce04b7bdbab7c2a56b420fd7ab7b91afa302d33c2092804b3ab8fa",
-     "bf18baec0aa6677b11bcd8eac259817956adf1c5cd92a50e16d0471480b798e8"),
+     "fa0c614fc956d278391ee386238110d3fa2e06e24e95247b75a9e1c34f6603ce",
+     "d2e2a4bb25b4e8f4d69ddce1888f4e1a71097faee58de60633b3b12fee76d17f"),
     ("wide", "sharing_inter",
-     "cb215bfc3b26a19f40a0477a0195dea151d1a2e9e7391236ee0ded96567b8aec",
-     "0a6ba3f2879ada9e345c7cb5ed3f4d49f5446e6da72a056d031182493e8128a7"),
+     "0d514430623c8bed34bf6f1252c61ee2ce5ba684e507626f65ccf971a71e2723",
+     "81d2e6d31a37a9f3eaa180a30b09b5f1f4e81cfb37b852300fcba9120c9ea5ef"),
 ], ids=["desk-inner", "desk-inter", "wide-inner", "wide-inter"])
 def test_sharing_split_outputs_are_pinned(
     shape_teachers, tmp_path, shape, method, part_digest, layer_digest
@@ -246,17 +246,17 @@ def test_sharing_split_outputs_are_pinned(
 
 @pytest.mark.parametrize("shape, method, part_digest, layer_digest", [
     ("desk", "independent_random",
-     "19bffe7e59b90c6339b13767d2d3b9ddef388e838cd44e1142b75d784447464d",
-     "a12957021cdf2b62a92277a3f9bde702c387710c99c7408fbabc45b7fd1b9c0b"),
+     "c5c9eeab81bc5026e557e76486a5b7b12dc639900b92aa7e5ce85d571f523166",
+     "a367865e2a895a20037603f79f5c0da5650f247d5dcc3af4da6cd5f3ebd7706c"),
     ("desk", "independent_clustering",
-     "3eeb0cfa1391294dd6665290a1c39fb618af116cbb55b4e0d0c5adecb226737d",
-     "8e2034f49b4f47ce28df51833f63c5a314eecb33daffd26344bb7b806b43a393"),
+     "d299c5a4fe6bf07aaf3d2e7bb7ee1fde6a7bf099b8251af6c3da95024e1664e7",
+     "9180a5c2654b014f9d617514dad4237e1e127620e1abc924eaa63cdf005c2742"),
     ("wide", "independent_random",
-     "5339ea93afbd78b3267206819e3ac5db2d05f0112b46f63276805978c4ad4c33",
-     "f7289f3c5cae1d1b5c6428cb28bae6ffefb130e7868e0d829ed83bc22ef7dd19"),
+     "629e5aea53f17780680133d764c52bfb947b742753700cb053cb0287477811a5",
+     "b0e77777f6d35cc408703c1381004022409503e7d827b42cb6b7f7897fd33be4"),
     ("wide", "independent_clustering",
-     "c57abd4cb98bcef6de071e16cf591421f90568236b63de108622ac1ba6e65828",
-     "c4bbdd3fabfb7561df83dcbafb5cd80dedbda3c03742784462f17cb1d7754a6c"),
+     "1efbd339f9ad05a563ea96cb6231f271ec68c9a02259780bb467cf8289000e67",
+     "f57a7391fb63a3e54eb65ee43121637a10dc23ace006d672a0b126b9474c519f"),
 ], ids=["desk-random", "desk-clustering", "wide-random", "wide-clustering"])
 def test_independent_split_outputs_are_pinned(
     shape_teachers, tmp_path, shape, method, part_digest, layer_digest
@@ -665,14 +665,16 @@ class TestAnalyze:
     @pytest.mark.parametrize("row, flags", [
         ("0,C4,0,0,1.0", ["--experts", str(10**15)]),
         (f"0,C4,{10**15},0,1.0", []),
+        ("0,C4,0,0,1.0", ["--experts", str(10**8)]),
     ])
     def test_count_table_too_large_exits_data_error(self, tmp_path, capsys, row, flags):
-        # the (layers, experts, domains) table is sized from the input; 10**15
-        # entries per axis is beyond any address space, so nothing is allocated
+        # the (layers, experts, domains) table is sized from the input; one
+        # of more than 2**24 counts is refused before it is allocated, even
+        # where it would fit in memory (10**8 experts is 5.6 GB of int64)
         path = self.write_csv(tmp_path, [row])
         out = tmp_path / "o"
         assert run(["analyze", "--routing", path, "--out", str(out), *flags]) == EXIT_DATA
-        assert "Unable to allocate" in capsys.readouterr().err
+        assert "domains exceeds 16777216 counts" in capsys.readouterr().err
         assert not list(out.iterdir())
 
     @pytest.mark.parametrize("experts", ["0", "-2"])

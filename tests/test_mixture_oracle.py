@@ -41,7 +41,8 @@ from moeforge.sampler import (
 from moeforge.tensor import Rng
 
 MASK64 = (1 << 64) - 1
-MUL = 0x2545F4914F6CDD1D
+GAMMA = 0x9E3779B97F4A7C15
+MIX_A, MIX_B = 0xBF58476D1CE4E5B9, 0x94D049BB133111EB
 PRESETS = ("llama_v1", "sheared_final", "uniform")
 
 
@@ -87,21 +88,31 @@ def test_bulk_draws_continue_the_stream():
     assert got == want and bulk._state == ref._state
 
 
-def xorshift_inverse(y: int) -> int:
-    x = y ^ (y >> 27) ^ (y >> 54)
-    x = (x ^ (x << 25) ^ (x << 50)) & MASK64
-    return x ^ (x >> 12) ^ (x >> 24) ^ (x >> 36) ^ (x >> 48) ^ (x >> 60)
+def rng_first_uniform(u: float) -> Rng:
+    """An Rng whose first next_float() is exactly u: the state one gamma
+    before the splitmix64 mix inverse of u's 53 bits, shifted up by 11."""
+    z = int(u * 2.0**53) << 11
+    z ^= (z >> 31) ^ (z >> 62)
+    z = z * pow(MIX_B, -1, 1 << 64) & MASK64
+    z ^= (z >> 27) ^ (z >> 54)
+    z = z * pow(MIX_A, -1, 1 << 64) & MASK64
+    z ^= (z >> 30) ^ (z >> 60)
+    rng = Rng(0)
+    rng._state = (z - GAMMA) & MASK64
+    return rng
+
+
+def assert_bulk_draw_is_single_draw(u, weights):
+    check, bulk, ref = (rng_first_uniform(u) for _ in range(3))
+    assert check.next_float() == u
+    assert bulk.choice_weighted(weights, 1).tolist() == [ref.choice_weighted(weights)]
 
 
 @pytest.mark.parametrize("u", [0.0, 0.25, 0.5, 0.75, 1.0 - 2.0**-53])
 def test_uniform_on_an_edge(u):
-    # a state whose first uniform is exactly u: on an edge of the running
-    # sum the draw goes to the next index, as `u < acc` does
-    x = (int(u * 2.0**53) << 11) * pow(MUL, -1, 1 << 64) & MASK64
-    weights = np.array([0.25, 0.25, 0.0, 0.25, 0.25])
-    bulk, ref = Rng(0), Rng(0)
-    bulk._state = ref._state = xorshift_inverse(x)
-    assert bulk.choice_weighted(weights, 1).tolist() == [ref.choice_weighted(weights)]
+    # on an edge of the running sum the draw goes to the next index, as
+    # `u < acc` does
+    assert_bulk_draw_is_single_draw(u, np.array([0.25, 0.25, 0.0, 0.25, 0.25]))
 
 
 def test_scale_is_the_pairwise_sum():
@@ -117,10 +128,7 @@ def test_scale_is_the_pairwise_sum():
     edge = float(np.cumsum(weights)[4])
     f = np.ceil(edge / max(total, running) * 2.0**53) / 2.0**53
     assert (f * total < edge) != (f * running < edge)
-    x = (int(f * 2.0**53) << 11) * pow(MUL, -1, 1 << 64) & MASK64
-    bulk, ref = Rng(0), Rng(0)
-    bulk._state = ref._state = xorshift_inverse(x)
-    assert bulk.choice_weighted(weights, 1).tolist() == [ref.choice_weighted(weights)]
+    assert_bulk_draw_is_single_draw(float(f), weights)
 
 
 def test_bulk_draws_reject_negative_weights():
