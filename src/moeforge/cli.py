@@ -62,7 +62,7 @@ def ffn_to_mft(path: str, ffn: DenseFfn) -> None:
     write_mft(path, ffn_to_tensors(ffn))
 
 
-def read_layer(path: str, teacher_d_h: int | None = None) -> MoeLayer:
+def read_layer(path: str, teacher_d_h: int) -> MoeLayer:
     return _decode(path, layer_from_tensors, teacher_d_h)
 
 

@@ -88,7 +88,8 @@ class SwigluCache(NamedTuple):
     a: np.ndarray  # X @ W_up
     b: np.ndarray  # X @ W_gate
     s: np.ndarray  # sigmoid(b)
-    h: np.ndarray  # a * swish(b)
+    sw: np.ndarray  # swish(b) = b * s
+    h: np.ndarray  # swish(b) * a
 
 
 def swiglu_hidden(x: np.ndarray, w_up: np.ndarray, w_gate: np.ndarray) -> SwigluCache:
@@ -97,9 +98,8 @@ def swiglu_hidden(x: np.ndarray, w_up: np.ndarray, w_gate: np.ndarray) -> Swiglu
     a = x @ w_up
     b = x @ w_gate
     s = sigmoid(b)
-    h = b * s
-    h *= a
-    return SwigluCache(a, b, s, h)
+    sw = b * s
+    return SwigluCache(a, b, s, sw, sw * a)
 
 
 def swiglu_forward(
@@ -117,9 +117,9 @@ def swiglu_backward(
 
     swish'(b) = sigmoid(b) * (1 + b * (1 - sigmoid(b))).
     """
-    a, b, s, h = cache
+    a, b, s, sw, h = cache
     grad_h = grad_y @ w_down.T
-    d_up = x.T @ (grad_h * (b * s))
+    d_up = x.T @ (grad_h * sw)
     d_gate = x.T @ (grad_h * a * (s * (1.0 + b * (1.0 - s))))
     return d_up, d_gate, h.T @ grad_y
 

@@ -12,7 +12,7 @@ import numpy as np
 from .dense_ffn import DenseFfn, ExpertFfn
 from .mft import MftError
 from .moe import GateNetwork, MoeLayer
-from .partition import ExpertPartition, PartitionMethod, check_index_set
+from .partition import ExpertPartition, check_index_set
 
 SWIGLU_PARTS = ("w_up", "w_gate", "w_down")
 
@@ -69,11 +69,11 @@ def layer_to_tensors(layer: MoeLayer) -> dict[str, np.ndarray]:
 
 
 def _expert(
-    tensors: dict[str, np.ndarray], prefix: str, gate: GateNetwork, teacher_d_h: int | None
+    tensors: dict[str, np.ndarray], prefix: str, gate: GateNetwork, teacher_d_h: int
 ) -> ExpertFfn:
     """The expert under `prefix`, read by `gate`. Its indices name one teacher
     neuron per column of its w_up and form an index set (`check_index_set`)
-    of the teacher's d_h neurons, unbounded above when it is not known."""
+    of the teacher's d_h neurons."""
     name = prefix + "indices"
     weights, idx = _swiglu_weights(tensors, prefix), _integers(tensors, name)
     ex = _named(prefix, lambda: ExpertFfn(**weights, source_indices=idx))
@@ -87,9 +87,7 @@ def _expert(
     return ex
 
 
-def layer_from_tensors(
-    tensors: dict[str, np.ndarray], teacher_d_h: int | None = None
-) -> MoeLayer:
+def layer_from_tensors(tensors: dict[str, np.ndarray], teacher_d_h: int) -> MoeLayer:
     n = 0
     while f"expert.{n}.w_up" in tensors:
         n += 1
@@ -119,13 +117,3 @@ def partition_to_json(p: ExpertPartition) -> str:
         },
         indent=2,
     ) + "\n"
-
-
-def partition_from_json(text: str) -> ExpertPartition:
-    doc = json.loads(text)
-    return ExpertPartition(
-        sets=tuple(tuple(s) for s in doc["sets"]),
-        d_h=doc["d_h"],
-        method=PartitionMethod(doc["method"]),
-        shared_residual=tuple(doc.get("residual", [])),
-    )

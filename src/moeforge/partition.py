@@ -63,16 +63,16 @@ class ExpertPartition:
         return sum(len(a & b) / self.m for a, b in pairs) / len(pairs)
 
 
-def check_index_set(s, d_h: int | None) -> np.ndarray:
+def check_index_set(s, d_h: int) -> np.ndarray:
     """`s` as an array, or ValueError unless it is a nonempty, strictly
-    increasing run of indices in [0, d_h) (nonnegative when d_h is None)."""
+    increasing run of indices in [0, d_h)."""
     idx = np.asarray(s)
     if idx.ndim != 1 or idx.size == 0:
         raise ValueError("expert index set must be a nonempty vector")
     if np.any(np.diff(idx) <= 0):
         raise ValueError("expert index set must be strictly increasing")
-    if idx[0] < 0 or (d_h is not None and idx[-1] >= d_h):
-        raise ValueError(f"index out of range [0, {'inf' if d_h is None else d_h})")
+    if idx[0] < 0 or idx[-1] >= d_h:
+        raise ValueError(f"index out of range [0, {d_h})")
     return idx
 
 

@@ -120,10 +120,6 @@ class Rng:
         """Uniform in [0, 1) with 53 random bits: (next_u64() >> 11) * 2**-53."""
         return (self.next_u64() >> 11) * (1.0 / (1 << 53))
 
-    def next_normal(self) -> float:
-        """One standard normal: normal_array(()), which takes two draws."""
-        return float(self.normal_array(()))
-
     def next_below(self, n: int) -> int:
         """Uniform integer in [0, n) by rejection (no modulo bias)."""
         if n <= 0:

@@ -16,7 +16,7 @@ from moeforge.cli import (
     write_layer,
 )
 from moeforge.dense_ffn import DenseFfn, ffn_forward
-from moeforge.layerio import layer_from_tensors, layer_to_tensors, partition_from_json
+from moeforge.layerio import layer_from_tensors, layer_to_tensors
 from moeforge.mft import MftError, read_mft, write_mft
 from moeforge.moe import assemble_moe, moe_forward
 from moeforge.partition import split_independent_random, split_sharing_inter
@@ -57,11 +57,12 @@ class TestSplit:
             ]
         )
         assert code == EXIT_OK
-        partition = partition_from_json(open(part_path).read())
-        covered = sorted(i for s in partition.sets for i in s)
+        with open(part_path) as f:
+            partition = json.load(f)
+        covered = sorted(i for s in partition["sets"] for i in s)
         assert covered == list(range(16))
 
-        layer = read_layer(layer_path)
+        layer = read_layer(layer_path, ffn.d_h)
         assert layer.n_experts == 4
         assert layer.scale_factor == 2.0
         # partition-sum identity through the file round trip
@@ -76,7 +77,7 @@ class TestSplit:
         layer = assemble_moe(ffn, part, k=2)
         f1 = str(tmp_path / "l1.mft")
         write_layer(f1, layer)
-        back = read_layer(f1)
+        back = read_layer(f1, ffn.d_h)
         f2 = str(tmp_path / "l2.mft")
         write_layer(f2, back)
         assert open(f1, "rb").read() == open(f2, "rb").read()
@@ -590,15 +591,14 @@ class TestLayerFile:
         assert self.train(teacher_file, tmp_path, tensors) == EXIT_DATA
         assert name in capsys.readouterr().err
 
-    def test_indices_unbounded_without_a_teacher(self, teacher_file):
+    def test_indices_bounded_by_the_teacher(self, teacher_file):
         tensors = self.tensors(teacher_file[1])
         tensors["expert.1.indices"] = np.array([8, 9, 10, 11, 12, 13, 14, 99.0])
-        assert layer_from_tensors(tensors).experts[1].source_indices[-1] == 99
         with pytest.raises(MftError, match="expert.1.indices"):
             layer_from_tensors(tensors, teacher_d_h=16)
-        tensors["expert.1.indices"] = np.array([8, 9, 10, 11, 12, 14, 13, 99.0])
+        tensors["expert.1.indices"] = np.array([8, 9, 10, 11, 12, 14, 13, 15.0])
         with pytest.raises(MftError, match="strictly increasing"):
-            layer_from_tensors(tensors)
+            layer_from_tensors(tensors, teacher_d_h=16)
 
     @pytest.mark.parametrize(
         "name", ["residual.w_gate", "residual.indices", "expert.1.w_down"]

@@ -18,7 +18,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from moeforge import cli, routing
@@ -286,7 +286,13 @@ def test_wrong_length_observed_row_error_identical(tmp_path, loss_files):
 # ---------------------------------------------------------------- analyze
 
 def collect_oracle(records, n_layers, n_experts, domains):
-    """The record loop that `count_routing` replaced."""
+    """The record loop that `collect_routing` replaced, under the program's
+    rule that a table of more than MAX_COUNTS counts is refused unallocated."""
+    if n_layers * n_experts * len(domains) > routing.MAX_COUNTS:
+        raise ValueError(
+            f"count table of {n_layers} layers x {n_experts} experts x "
+            f"{len(domains)} domains exceeds {routing.MAX_COUNTS} counts"
+        )
     dom_index = {d: i for i, d in enumerate(domains)}
     counts = np.zeros((n_layers, n_experts, len(domains)), dtype=np.int64)
     token_ids = [set() for _ in domains]
@@ -695,6 +701,9 @@ def one_edit_files(draw):
     domains=st.sampled_from([None, "C4,arXiv,GitHub"]),
     bad_header=st.integers(0, 30),
 )
+# an expert id at int64's top: more counts than MAX_COUNTS, refused unallocated
+@example(body=(["0,C4,0,9223372036854775807,0.5"], "\n"), experts=None, domains=None,
+         bad_header=1)
 def test_analyze_fuzz_identical(body, experts, domains, bad_header):
     lines, sep = body
     header = "token_id,domain,layer,expert,weight" if bad_header else "token,domain"

@@ -38,8 +38,8 @@ def assert_same_stream(seed, shape, scale=1.0, after_single=False, state=None):
     for rng in (block, ref):
         if state is not None:
             rng._state = state
-    if after_single:  # one next_normal() first: two draws, its sin half dropped
-        first = block.next_normal()
+    if after_single:  # one normal_array(()) first: two draws, its sin half dropped
+        first = block.normal_array(())
         assert np.float64(first).view(np.uint64) == reference_normals(ref, 1).view(np.uint64)[0]
     got = block.normal_array(shape, scale)
     want = reference_normals(ref, int(np.prod(shape))).reshape(shape) * scale

@@ -113,6 +113,6 @@ class TestRng:
 
     def test_normals_standardish(self):
         rng = Rng(11)
-        vals = np.array([rng.next_normal() for _ in range(20_000)])
+        vals = np.array([rng.normal_array(()) for _ in range(20_000)])
         assert abs(vals.mean()) < 0.03
         assert abs(vals.std() - 1.0) < 0.03
