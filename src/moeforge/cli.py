@@ -152,6 +152,8 @@ def cmd_schedule(args) -> int:
     observed_seq: list[np.ndarray] = []
     if args.reference_loss:
         doc = _json(args.reference_loss, dict, "--reference-loss must be a JSON {domain: loss}")
+        if missing := [d for d in weights.domains if d not in doc]:
+            raise ValueError(f"--reference-loss has no loss for domain {missing[0]!r}")
         reference_loss = _losses([doc[d] for d in weights.domains], "--reference-loss")
     if args.observed_loss:
         seq = _json(args.observed_loss, list, "--observed-loss must be a JSON list of loss rows")
@@ -212,6 +214,13 @@ def fraction(text: str) -> float:
     return value
 
 
+def labels(text: str) -> str:
+    """argparse type for comma-separated labels, none of them repeated."""
+    if len(set(text.split(","))) < len(text.split(",")):
+        raise argparse.ArgumentTypeError(f"repeats a label: {text}")
+    return text
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="moeforge",
@@ -256,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     ap = sub.add_parser("analyze", help="routing statistics and L2 matrices")
     ap.add_argument("--routing", required=True, help="routing records CSV")
-    ap.add_argument("--domains", help="comma-separated domain labels")
+    ap.add_argument("--domains", type=labels, help="comma-separated domain labels")
     ap.add_argument("--experts", type=at_least(1), help="declared expert count")
     ap.add_argument("--out", required=True, help="output directory")
     ap.set_defaults(func=cmd_analyze)

@@ -59,27 +59,24 @@ def accumulate_importance(
 
 def group_data_by_clustering(
     samples: list[np.ndarray] | np.ndarray, n: int, rng: Rng
-) -> list[list[int]]:
+) -> np.ndarray:
     """Standard (unbalanced) k-means on the inputs, each sample joining its
-    nearest centroid; returns n index groups. See `partition.kmeans`."""
+    nearest centroid; returns the (N,) group labels. See `partition.kmeans`."""
     pts = np.ascontiguousarray(samples, dtype=np.float64)
-    assign = kmeans(pts, n, rng, lambda dist: np.argmin(dist, axis=1))
-    return [[int(i) for i in np.flatnonzero(assign == c)] for c in range(n)]
+    return kmeans(pts, n, rng, lambda dist: np.argmin(dist, axis=1))
 
 
-def importance_by_groups(ffn: DenseFfn, pairs: np.ndarray, n: int, rng: Rng) -> list[np.ndarray]:
+def importance_by_groups(ffn: DenseFfn, pairs: np.ndarray, n: int, rng: Rng) -> np.ndarray:
     """Cluster the inputs `pairs[:, 0]` of (N, 2, d) (x, target) pairs into n
-    groups and score them in one pass; one importance vector per group, in
-    group order."""
-    labels = np.empty(len(pairs), dtype=np.intp)
-    for c, idx in enumerate(group_data_by_clustering(pairs[:, 0], n, rng)):
-        labels[idx] = c
-    return list(accumulate_importance(ffn, DataGroup(pairs), labels, n))
+    groups and score them in one pass; the (n, d_h) importance matrix, row c
+    for group c."""
+    labels = group_data_by_clustering(pairs[:, 0], n, rng)
+    return accumulate_importance(ffn, DataGroup(pairs), labels, n)
 
 
-def synthetic_importance(ffn: DenseFfn, n: int, seed: int, num_samples: int) -> list[np.ndarray]:
-    """Importance vectors from seeded synthetic data: gaussian inputs,
-    squared-error loss against gaussian targets."""
+def synthetic_importance(ffn: DenseFfn, n: int, seed: int, num_samples: int) -> np.ndarray:
+    """The (n, d_h) importance matrix from seeded synthetic data: gaussian
+    inputs, squared-error loss against gaussian targets."""
     rng = Rng(seed ^ 0xDA7A)
     # per sample: x, then its target, as consecutive draws
     pairs = rng.normal_array((num_samples, 2, ffn.d))

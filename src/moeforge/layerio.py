@@ -49,7 +49,8 @@ def ffn_to_tensors(ffn: DenseFfn) -> dict[str, np.ndarray]:
 
 
 def ffn_from_tensors(tensors: dict[str, np.ndarray]) -> DenseFfn:
-    return DenseFfn(**_swiglu_weights(tensors))
+    weights = _swiglu_weights(tensors)
+    return _named("w_", lambda: DenseFfn(**weights))
 
 
 def layer_to_tensors(layer: MoeLayer) -> dict[str, np.ndarray]:

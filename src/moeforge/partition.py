@@ -152,49 +152,38 @@ def split_independent_clustering(ffn: DenseFfn, n: int, rng: Rng) -> ExpertParti
     return ExpertPartition(sets=sets, d_h=ffn.d_h, method=PartitionMethod.INDEPENDENT_CLUSTERING)
 
 
-def _top_m(values: np.ndarray, m: int, exclude: tuple[int, ...] = ()) -> tuple[int, ...]:
-    """Indices of the m largest entries outside `exclude`, ascending; ties
-    break toward the lower index."""
-    candidates = np.delete(np.arange(len(values)), exclude)  # a keep mask, not a sort
-    if len(candidates) < m:
-        raise ValueError(f"only {len(candidates)} candidates available, need {m}")
-    return tuple(candidates[top_k_indices(values[candidates], m)].tolist())
-
-
-def split_sharing_inner(importance: list[np.ndarray], m: int) -> ExpertPartition:
-    """S_i = top-m neurons by the i-th importance vector; sets may overlap."""
-    vecs = [np.asarray(v, dtype=np.float64) for v in importance]
-    d_h = len(vecs[0])
-    if any(len(v) != d_h for v in vecs):
-        raise ValueError("importance vectors must share length d_h")
+def split_sharing_inner(importance: np.ndarray, m: int) -> ExpertPartition:
+    """S_i = top-m neurons by row i of the (n, d_h) importance matrix; sets
+    may overlap. Any other shape, a ragged list included, is a ValueError."""
+    imp = np.asarray(importance, dtype=np.float64)
+    _, d_h = imp.shape
     if m > d_h:
         raise ValueError(f"expert size {m} exceeds d_h={d_h}")
-    sets = tuple(_top_m(v, m) for v in vecs)
+    sets = tuple(map(tuple, top_k_indices(imp, m).tolist()))
     return ExpertPartition(sets=sets, d_h=d_h, method=PartitionMethod.SHARING_INNER)
 
 
 def split_sharing_inter(
-    importance: list[np.ndarray], m: int, residual_threshold: float = 0.5
+    importance: np.ndarray, m: int, residual_threshold: float = 0.5
 ) -> ExpertPartition:
     """Top-m per expert, but neurons present in at least
     ceil(residual_threshold * n) provisional sets move to a shared residual
     block; each expert's freed slots are refilled from its own ranking."""
     if not (0.0 < residual_threshold <= 1.0):
         raise ValueError("residual_threshold must lie in (0, 1]")
-    provisional = split_sharing_inner(importance, m)
-    n, d_h = provisional.n, provisional.d_h
-    need = int(np.ceil(residual_threshold * n))
+    imp = np.asarray(importance, dtype=np.float64)
+    provisional = split_sharing_inner(imp, m)
+    need = int(np.ceil(residual_threshold * provisional.n))
 
-    membership = np.bincount(np.concatenate(provisional.sets), minlength=d_h)
-    residual = tuple(int(i) for i in np.flatnonzero(membership >= need))
-
-    vecs = [np.asarray(v, dtype=np.float64) for v in importance]
-    sets = tuple(_top_m(v, m, exclude=residual) for v in vecs)
+    shared = np.bincount(np.concatenate(provisional.sets), minlength=provisional.d_h) >= need
+    keep = np.flatnonzero(~shared)
+    if len(keep) < m:
+        raise ValueError(f"only {len(keep)} candidates available, need {m}")
     return ExpertPartition(
-        sets=sets,
-        d_h=d_h,
+        sets=tuple(map(tuple, keep[top_k_indices(imp[:, keep], m)].tolist())),
+        d_h=provisional.d_h,
         method=PartitionMethod.SHARING_INTER,
-        shared_residual=residual,
+        shared_residual=tuple(np.flatnonzero(shared).tolist()),
     )
 
 

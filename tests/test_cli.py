@@ -16,7 +16,7 @@ from moeforge.cli import (
     write_layer,
 )
 from moeforge.dense_ffn import DenseFfn, ffn_forward
-from moeforge.layerio import layer_from_tensors, layer_to_tensors
+from moeforge.layerio import ffn_to_tensors, layer_from_tensors, layer_to_tensors
 from moeforge.mft import MftError, read_mft, write_mft
 from moeforge.moe import assemble_moe, moe_forward
 from moeforge.partition import split_independent_random, split_sharing_inter
@@ -488,7 +488,10 @@ class TestSchedule:
         ("--reference-loss", REFERENCE.replace("2.0", "{}", 1), "[]"),
         ("--observed-loss", REFERENCE, '[{"C4": 3.0}]'),
         ("--observed-loss", REFERENCE, "3.0"),
-    ], ids=["reference-list", "reference-object-value", "observed-object-row", "observed-number"])
+        ("--reference-loss has no loss for domain 'CommonCrawl'",
+         json.dumps({d: 2.0 for d in DEFAULT_DOMAINS[1:]}), "[]"),
+    ], ids=["reference-list", "reference-object-value", "observed-object-row", "observed-number",
+            "reference-missing-domain"])
     def test_malformed_loss_json_exits_data_error(
         self, tmp_path, capsys, flag, reference, observed
     ):
@@ -634,6 +637,41 @@ class TestLayerFile:
         assert f"tensors {prefix}*" in err and str(tmp_path / "layer.mft") in err
 
 
+class TestTeacherFile:
+    """A malformed teacher fed to `split --ffn` or `train --teacher` exits 3
+    with a message that names its tensors and the file."""
+
+    @pytest.mark.parametrize("command", ["split", "train"])
+    @pytest.mark.parametrize("fault", ["nan", "w_gate-cols"])
+    def test_bad_teacher_names_file(self, teacher_file, tmp_path, capsys, command, fault):
+        good, ffn = teacher_file
+        tensors = {name: w.copy() for name, w in ffn_to_tensors(ffn).items()}
+        if fault == "nan":
+            tensors["w_up"][3, 5] = np.nan
+        else:
+            tensors["w_gate"] = tensors["w_gate"][:, :15]
+        bad = str(tmp_path / "bad_teacher.mft")
+        write_mft(bad, tensors)
+        out = tmp_path / "out"
+        if command == "split":
+            argv = ["split", "--ffn", bad, "--method", "independent_random", "--experts", "2",
+                    "--out-partition", str(out / "p.json"), "--out-layer", str(out / "l.mft")]
+        else:
+            layer = str(tmp_path / "layer.mft")
+            ok = run(["split", "--ffn", good, "--method", "independent_random", "--experts", "2",
+                      "--out-partition", str(tmp_path / "p.json"), "--out-layer", layer])
+            assert ok == EXIT_OK
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({"total_steps": 1, "warmup_steps": 0}))
+            argv = ["train", "--layer", layer, "--teacher", bad, "--config", str(cfg),
+                    "--out", str(out)]
+        capsys.readouterr()
+        assert run(argv) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert "tensors w_*: " in err and err.rstrip().endswith(f" in {bad}")
+        assert not out.exists()
+
+
 class TestAnalyze:
     HEADER = "token_id,domain,layer,expert,weight"
 
@@ -684,6 +722,15 @@ class TestAnalyze:
         with pytest.raises(SystemExit) as exc:
             run(["analyze", "--routing", path, "--experts", experts, "--out", str(out)])
         assert exc.value.code == EXIT_USAGE
+        assert not out.exists()
+
+    def test_repeated_domain_usage_error(self, tmp_path, capsys):
+        # a repeated label would get a heatmap column that is always 0
+        path = self.write_csv(tmp_path, ["0,a,0,0,1.0", "1,b,0,1,1.0"])
+        out = tmp_path / "o"
+        argv = ["analyze", "--routing", path, "--domains", "a,a,b", "--out", str(out)]
+        assert exit_code(argv) == EXIT_USAGE
+        assert "--domains: repeats a label: a,a,b" in capsys.readouterr().err
         assert not out.exists()
 
     def test_unknown_domain_cited(self, tmp_path, capsys):

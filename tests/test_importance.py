@@ -25,6 +25,11 @@ def score(ffn, samples):
     return accumulate_importance(ffn, DataGroup(samples), [0] * len(samples), 1)[0]
 
 
+def as_groups(labels, n):
+    """The n index groups of a label vector, in group order."""
+    return [[int(i) for i in np.flatnonzero(labels == c)] for c in range(n)]
+
+
 def make_samples(ffn, rng, count):
     """(x, target) pairs for L = 0.5 * ||y - target||^2."""
     return [(rng.normal_array((ffn.d,)), rng.normal_array((ffn.d,))) for _ in range(count)]
@@ -83,14 +88,14 @@ class TestAccumulate:
 class TestGrouping:
     def test_single_group(self):
         samples = [Rng(7).normal_array((3,)) for _ in range(5)]
-        groups = group_data_by_clustering(samples, 1, Rng(8))
+        groups = as_groups(group_data_by_clustering(samples, 1, Rng(8)), 1)
         assert sorted(groups[0]) == list(range(5))
 
     def test_two_blobs_are_pure(self):
         rng = Rng(9)
         blob_a = [rng.normal_array((2,)) * 0.1 for _ in range(10)]
         blob_b = [rng.normal_array((2,)) * 0.1 + 20.0 for _ in range(10)]
-        groups = group_data_by_clustering(blob_a + blob_b, 2, Rng(10))
+        groups = as_groups(group_data_by_clustering(blob_a + blob_b, 2, Rng(10)), 2)
         sets = [set(g) for g in groups]
         assert {frozenset(s) for s in sets} == {
             frozenset(range(10)),
@@ -108,7 +113,7 @@ class TestGrouping:
         samples = [Rng(11).normal_array((3,)) for _ in range(20)]
         a = group_data_by_clustering(samples, 3, Rng(12))
         b = group_data_by_clustering(samples, 3, Rng(12))
-        assert a == b
+        assert a.shape == (20,) and np.array_equal(a, b)
 
     def test_too_many_groups(self):
         with pytest.raises(ValueError):
@@ -195,9 +200,9 @@ class TestChunkedScoring:
         ffn = DenseFfn.random(128, 512, Rng(21))
         pairs = synthetic_pairs(ffn, Rng(22), 400)
         vecs = importance_by_groups(ffn, pairs, 3, Rng(23))
-        groups = group_data_by_clustering(list(pairs[:, 0]), 3, Rng(23))
+        groups = as_groups(group_data_by_clustering(list(pairs[:, 0]), 3, Rng(23)), 3)
         assert max(map(len, groups)) > EVAL_ROWS
-        assert len(vecs) == 3
+        assert vecs.shape == (3, 512)
         for v, idx in zip(vecs, groups):
             assert v.tobytes() == one_pass(ffn, pairs[idx]).tobytes()
 
@@ -206,7 +211,7 @@ class TestChunkedScoring:
         ffn = DenseFfn.random(128, 512, Rng(21))
         pairs = synthetic_pairs(ffn, Rng(22), 128)
         vecs = importance_by_groups(ffn, pairs, 16, Rng(23))
-        groups = group_data_by_clustering(pairs[:, 0], 16, Rng(23))
+        groups = as_groups(group_data_by_clustering(pairs[:, 0], 16, Rng(23)), 16)
         assert {1, 2} <= set(map(len, groups))
         for v, idx in zip(vecs, groups):
             assert_matches_one_pass(v, one_pass(ffn, pairs[idx]), len(idx))

@@ -72,6 +72,12 @@ def oracle_grouping(samples, n, rng):
     return [[int(i) for i in np.flatnonzero(assign == c)] for c in range(n)]
 
 
+def as_groups(labels, n):
+    """The n index groups of a label vector, in group order."""
+    assert labels.shape == (labels.size,)
+    return [[int(i) for i in np.flatnonzero(labels == c)] for c in range(n)]
+
+
 def ffn_with_up(w_up):
     d, d_h = w_up.shape
     return DenseFfn(w_up=w_up, w_gate=np.zeros((d, d_h)), w_down=np.zeros((d_h, d)))
@@ -105,7 +111,7 @@ def test_balanced_identical_vectors_match_oracle(column):
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_grouping_matches_oracle(d, count, n, seed):
     samples = list(gaussian((count, d), seed))
-    got = group_data_by_clustering(samples, n, Rng(seed + 10))
+    got = as_groups(group_data_by_clustering(samples, n, Rng(seed + 10)), n)
     assert got == oracle_grouping(samples, n, Rng(seed + 10))
 
 
@@ -113,7 +119,7 @@ def test_grouping_matches_oracle(d, count, n, seed):
 def test_grouping_identical_samples_match_oracle(column):
     v = np.ones(5) if column == "ones" else gaussian(5, 6)
     samples = [v.copy() for _ in range(12)]
-    got = group_data_by_clustering(samples, 3, Rng(7))
+    got = as_groups(group_data_by_clustering(samples, 3, Rng(7)), 3)
     assert got == oracle_grouping(samples, 3, Rng(7))
     # every centroid starts on the same point, so ties send all to group 0
     assert got == [list(range(12)), [], []]
@@ -124,7 +130,7 @@ def test_grouping_with_an_empty_group_matches_oracle():
     # and the higher-indexed one never wins a sample
     points = gaussian((4, 3), 8) * 10.0
     samples = [points[i % 4] for i in range(20)]
-    got = group_data_by_clustering(samples, 6, Rng(9))
+    got = as_groups(group_data_by_clustering(samples, 6, Rng(9)), 6)
     assert got == oracle_grouping(samples, 6, Rng(9))
     assert any(not g for g in got)
 

@@ -3,6 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from moeforge.dense_ffn import DenseFfn, ffn_forward
 from moeforge.partition import (
@@ -15,7 +17,7 @@ from moeforge.partition import (
     split_sharing_inner,
     split_sharing_inter,
 )
-from moeforge.tensor import Rng
+from moeforge.tensor import Rng, top_k_indices
 
 
 def assert_disjoint_cover(partition, d_h):
@@ -165,8 +167,70 @@ class TestSharingInter:
     def test_insufficient_candidates_errors(self):
         v = np.array([9.0, 8.0, 7.0, 6.0])
         # threshold met by everything in the provisional sets
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="only 1 candidates available, need 3"):
             split_sharing_inter([v, v.copy()], 3, residual_threshold=0.5)
+
+
+def top_m_oracle(values, m, exclude=()):
+    """Per-expert oracle: indices of the m largest entries of one importance
+    vector outside `exclude`, ascending; ties break toward the lower index."""
+    candidates = np.delete(np.arange(len(values)), exclude)
+    if len(candidates) < m:
+        raise ValueError(f"only {len(candidates)} candidates available, need {m}")
+    return tuple(candidates[top_k_indices(values[candidates], m)].tolist())
+
+
+def sharing_oracle(vecs, m, residual_threshold):
+    """The inner sets, then the inter residual and sets, one expert at a
+    time; the inter pair is the oracle's ValueError if it raises one."""
+    inner = tuple(top_m_oracle(v, m) for v in vecs)
+    need = int(np.ceil(residual_threshold * len(vecs)))
+    membership = np.bincount(np.concatenate(inner), minlength=len(vecs[0]))
+    residual = tuple(int(i) for i in np.flatnonzero(membership >= need))
+    try:
+        return inner, (tuple(top_m_oracle(v, m, exclude=residual) for v in vecs), residual)
+    except ValueError as err:
+        return inner, err
+
+
+@st.composite
+def importance_cases(draw):
+    """Small matrices of a few integer values, so ties are common, and NaN in
+    some of them; an expert size m; a threshold in (0, 1]; list or array."""
+    n, d_h = draw(st.integers(1, 5)), draw(st.integers(1, 10))
+    entry = st.sampled_from([0.0, 1.0, 2.0, 3.0] + [np.nan] * draw(st.booleans()))
+    rows = [draw(st.lists(entry, min_size=d_h, max_size=d_h)) for _ in range(n)]
+    threshold = draw(st.one_of(
+        st.floats(0.0, 1.0, exclude_min=True), st.sampled_from([1 / 3, 0.5, 2 / 3, 1.0])
+    ))
+    return np.array(rows), draw(st.integers(1, d_h)), threshold, draw(st.booleans())
+
+
+class TestSharingOracle:
+    """Both sharing splits select all experts with one `top_k_indices` call
+    over the (n, d_h) matrix; each row must be the per-expert oracle's set."""
+
+    @given(importance_cases())
+    def test_matches_per_expert_oracle(self, case):
+        imp, m, threshold, as_list = case
+        arg = list(imp) if as_list else imp
+        inner, inter = sharing_oracle(list(imp), m, threshold)
+        assert split_sharing_inner(arg, m).sets == inner
+        if isinstance(inter, ValueError):
+            with pytest.raises(ValueError, match=str(inter)):
+                split_sharing_inter(arg, m, threshold)
+        else:
+            p = split_sharing_inter(arg, m, threshold)
+            assert (p.sets, p.shared_residual) == inter
+
+    @pytest.mark.parametrize("importance", [
+        [np.zeros(4), np.zeros(5)], np.zeros(4), np.zeros((2, 2, 4)), [],
+    ], ids=["ragged", "vector", "3-d", "empty"])
+    def test_importance_must_be_a_matrix(self, importance):
+        with pytest.raises(ValueError):
+            split_sharing_inner(importance, 2)
+        with pytest.raises(ValueError):
+            split_sharing_inter(importance, 2)
 
 
 class TestSliceExpert:
