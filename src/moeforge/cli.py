@@ -14,17 +14,10 @@ from dataclasses import fields
 
 import numpy as np
 
-from .dense_ffn import DenseFfn
 from .importance import synthetic_importance
-from .layerio import (
-    ffn_from_tensors,
-    ffn_to_tensors,
-    layer_from_tensors,
-    layer_to_tensors,
-    partition_to_json,
-)
-from .mft import MftError, read_mft, write_mft
-from .moe import MoeLayer, assemble_moe
+from .layerio import read_ffn, read_layer, write_layer, write_partition
+from .mft import MftError
+from .moe import assemble_moe
 from .partition import (
     PartitionMethod,
     check_divides,
@@ -42,32 +35,6 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_DATA = 3
 EXIT_DIVERGENCE = 4
-
-
-# ---------------------------------------------------------------- files
-
-def _decode(path: str, codec, *args):
-    """`codec` applied to the tensors in `path`; an MftError names the file."""
-    try:
-        return codec(read_mft(path), *args)
-    except MftError as err:
-        raise MftError(f"{err} in {path}") from err
-
-
-def ffn_from_mft(path: str) -> DenseFfn:
-    return _decode(path, ffn_from_tensors)
-
-
-def ffn_to_mft(path: str, ffn: DenseFfn) -> None:
-    write_mft(path, ffn_to_tensors(ffn))
-
-
-def read_layer(path: str, teacher_d_h: int) -> MoeLayer:
-    return _decode(path, layer_from_tensors, teacher_d_h)
-
-
-def write_layer(path: str, layer: MoeLayer) -> None:
-    write_mft(path, layer_to_tensors(layer))
 
 
 # ---------------------------------------------------------------- commands
@@ -90,7 +57,7 @@ def _losses(values, what: str) -> np.ndarray:
 
 
 def cmd_split(args) -> int:
-    ffn = ffn_from_mft(args.ffn)
+    ffn = read_ffn(args.ffn)
     method = PartitionMethod(args.method)
     rng = Rng(args.seed)
     if method is PartitionMethod.INDEPENDENT_RANDOM:
@@ -109,8 +76,7 @@ def cmd_split(args) -> int:
     layer = assemble_moe(
         ffn, partition, k=args.topk, gate_init=args.gate_init, seed=args.seed
     )
-    with open(args.out_partition, "w") as f:
-        f.write(partition_to_json(partition))
+    write_partition(args.out_partition, partition)
     write_layer(args.out_layer, layer)
 
     print(f"method={method.value} n={partition.n} m={partition.m} d_h={partition.d_h}")
@@ -120,7 +86,7 @@ def cmd_split(args) -> int:
 
 
 def cmd_train(args) -> int:
-    teacher = ffn_from_mft(args.teacher)
+    teacher = read_ffn(args.teacher)
     layer = read_layer(args.layer, teacher.d_h)
     doc = _json(args.config, dict, "train config must be a JSON object")
     unknown = sorted(set(doc) - {f.name for f in fields(TrainConfig)})
@@ -215,8 +181,11 @@ def fraction(text: str) -> float:
 
 
 def labels(text: str) -> str:
-    """argparse type for comma-separated labels, none of them repeated."""
-    if len(set(text.split(","))) < len(text.split(",")):
+    """argparse type for comma-separated labels, none of them empty or repeated."""
+    names = text.split(",")
+    if "" in names:
+        raise argparse.ArgumentTypeError(f"has an empty label: {text!r}")
+    if len(set(names)) < len(names):
         raise argparse.ArgumentTypeError(f"repeats a label: {text}")
     return text
 
@@ -256,7 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
     hp.add_argument("--preset", default="llama_v1")
     hp.add_argument("--mode", choices=["static", "dynamic"], default="static")
     hp.add_argument("--draws", type=at_least(0), default=1000)
-    hp.add_argument("--interval", type=int, default=100)
+    hp.add_argument("--interval", type=at_least(1), default=100)
     hp.add_argument("--seed", type=int, default=0)
     hp.add_argument("--reference-loss", help="JSON {domain: loss}")
     hp.add_argument("--observed-loss", help="JSON list of per-domain loss rows")

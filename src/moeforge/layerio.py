@@ -1,7 +1,6 @@
-"""The artifact layouts: the tensor names that hold a teacher FFN or an MoE
-layer in an MFT file (integer tensors stored as float64), and the JSON keys
-that hold an expert partition. Only this module knows either; README's CLI
-section lists them."""
+"""The artifact files: the teacher FFN and the MoE layer as MFT tensors
+(integers stored as float64), the expert partition as JSON. Only this module
+reads or writes them or knows their tensor names and keys, which README lists."""
 
 from __future__ import annotations
 
@@ -10,7 +9,7 @@ import json
 import numpy as np
 
 from .dense_ffn import DenseFfn, ExpertFfn
-from .mft import MftError
+from .mft import MftError, read_mft, write_mft
 from .moe import GateNetwork, MoeLayer
 from .partition import ExpertPartition, check_index_set
 
@@ -44,16 +43,25 @@ def _integers(tensors: dict[str, np.ndarray], name: str) -> tuple[int, ...]:
     return tuple(int(i) for i in v)
 
 
-def ffn_to_tensors(ffn: DenseFfn) -> dict[str, np.ndarray]:
-    return {part: getattr(ffn, part) for part in SWIGLU_PARTS}
+def _decode(path: str, codec, *args):
+    """`codec` applied to the tensors in `path`; an MftError names the file."""
+    try:
+        return codec(read_mft(path), *args)
+    except MftError as err:
+        raise MftError(f"{err} in {path}") from err
 
 
-def ffn_from_tensors(tensors: dict[str, np.ndarray]) -> DenseFfn:
+def _ffn_from_tensors(tensors: dict[str, np.ndarray]) -> DenseFfn:
     weights = _swiglu_weights(tensors)
     return _named("w_", lambda: DenseFfn(**weights))
 
 
-def layer_to_tensors(layer: MoeLayer) -> dict[str, np.ndarray]:
+def read_ffn(path: str) -> DenseFfn:
+    """The teacher FFN in `path`, from its w_up, w_gate and w_down tensors."""
+    return _decode(path, _ffn_from_tensors)
+
+
+def _layer_to_tensors(layer: MoeLayer) -> dict[str, np.ndarray]:
     tensors: dict[str, np.ndarray] = {
         "gate.w_g": layer.gate.w_g,
         "gate.w_noise": layer.gate.w_noise,
@@ -88,7 +96,7 @@ def _expert(
     return ex
 
 
-def layer_from_tensors(tensors: dict[str, np.ndarray], teacher_d_h: int) -> MoeLayer:
+def _layer_from_tensors(tensors: dict[str, np.ndarray], teacher_d_h: int) -> MoeLayer:
     n = 0
     while f"expert.{n}.w_up" in tensors:
         n += 1
@@ -106,15 +114,23 @@ def layer_from_tensors(tensors: dict[str, np.ndarray], teacher_d_h: int) -> MoeL
     return _named("gate.", lambda: MoeLayer(experts=experts, gate=gate, residual_expert=residual))
 
 
-def partition_to_json(p: ExpertPartition) -> str:
-    return json.dumps(
-        {
-            "n": p.n,
-            "m": p.m,
-            "d_h": p.d_h,
-            "method": p.method.value,
-            "sets": [list(s) for s in p.sets],
-            "residual": list(p.shared_residual),
-        },
-        indent=2,
-    ) + "\n"
+def read_layer(path: str, teacher_d_h: int) -> MoeLayer:
+    """The MoE layer in `path`, over a teacher of `teacher_d_h` neurons."""
+    return _decode(path, _layer_from_tensors, teacher_d_h)
+
+
+def write_layer(path: str, layer: MoeLayer) -> None:
+    write_mft(path, _layer_to_tensors(layer))
+
+
+def write_partition(path: str, p: ExpertPartition) -> None:
+    doc = {
+        "n": p.n,
+        "m": p.m,
+        "d_h": p.d_h,
+        "method": p.method.value,
+        "sets": [list(s) for s in p.sets],
+        "residual": list(p.shared_residual),
+    }
+    with open(path, "w") as f:
+        f.write(json.dumps(doc, indent=2) + "\n")

@@ -9,8 +9,9 @@ import time
 import numpy as np
 import pytest
 
-from moeforge.cli import ffn_to_mft, main, read_layer, write_layer
+from moeforge.cli import main
 from moeforge.dense_ffn import DenseFfn, ffn_forward
+from moeforge.mft import write_mft
 from moeforge.moe import (
     GateNetwork,
     TokenRouting,
@@ -283,7 +284,8 @@ def test_criterion_9_routing_analysis():
 def test_criterion_10_cli_determinism(tmp_path):
     teacher = DenseFfn.random(8, 16, Rng(77))
     teacher_path = str(tmp_path / "teacher.mft")
-    ffn_to_mft(teacher_path, teacher)
+    write_mft(teacher_path,
+              {"w_up": teacher.w_up, "w_gate": teacher.w_gate, "w_down": teacher.w_down})
     cfg_path = str(tmp_path / "cfg.json")
     with open(cfg_path, "w") as f:
         json.dump({"lr_max": 0.05, "lr_final": 0.005, "warmup_steps": 5,

@@ -5,18 +5,9 @@ import os
 import numpy as np
 import pytest
 
-from moeforge.cli import (
-    EXIT_DATA,
-    EXIT_DIVERGENCE,
-    EXIT_OK,
-    EXIT_USAGE,
-    ffn_to_mft,
-    main,
-    read_layer,
-    write_layer,
-)
+from moeforge.cli import EXIT_DATA, EXIT_DIVERGENCE, EXIT_OK, EXIT_USAGE, main
 from moeforge.dense_ffn import DenseFfn, ffn_forward
-from moeforge.layerio import ffn_to_tensors, layer_from_tensors, layer_to_tensors
+from moeforge.layerio import read_layer, write_layer
 from moeforge.mft import MftError, read_mft, write_mft
 from moeforge.moe import assemble_moe, moe_forward
 from moeforge.partition import split_independent_random, split_sharing_inter
@@ -28,7 +19,7 @@ from moeforge.tensor import Rng
 def teacher_file(tmp_path):
     ffn = DenseFfn.random(8, 16, Rng(55))
     path = str(tmp_path / "teacher.mft")
-    ffn_to_mft(path, ffn)
+    write_mft(path, {"w_up": ffn.w_up, "w_gate": ffn.w_gate, "w_down": ffn.w_down})
     return path, ffn
 
 
@@ -215,7 +206,8 @@ def shape_teachers(tmp_path_factory):
         if shape not in paths:
             d, d_h = SPLIT_SHAPES[shape][:2]
             paths[shape] = str(tmp_path_factory.mktemp(shape) / "teacher.mft")
-            ffn_to_mft(paths[shape], DenseFfn.random(d, d_h, Rng(1)))
+            ffn = DenseFfn.random(d, d_h, Rng(1))
+            write_mft(paths[shape], {"w_up": ffn.w_up, "w_gate": ffn.w_gate, "w_down": ffn.w_down})
         return paths[shape]
 
     return teacher
@@ -481,6 +473,15 @@ class TestSchedule:
         assert exc.value.code == EXIT_USAGE
         assert not os.path.exists(out)
 
+    @pytest.mark.parametrize("mode", ["static", "dynamic"])
+    @pytest.mark.parametrize("interval", ["0", "-5"])
+    def test_nonpositive_interval_usage_error(self, tmp_path, capsys, mode, interval):
+        out = tmp_path / "sched.csv"
+        argv = ["schedule", "--mode", mode, "--interval", interval, "--out", str(out)]
+        assert exit_code(argv) == EXIT_USAGE
+        assert f"--interval: must be at least 1, got {interval}" in capsys.readouterr().err
+        assert not out.exists()
+
     REFERENCE = json.dumps({d: 2.0 for d in DEFAULT_DOMAINS})
 
     @pytest.mark.parametrize("flag,reference,observed", [
@@ -526,11 +527,13 @@ def swiglu_shapes(prefix, d, m):
 class TestLayerFile:
     """A malformed layer file fed to `train` exits 3 with a message."""
 
-    def tensors(self, ffn):
+    def tensors(self, teacher_file, tmp_path):
         # expert top-8 sets 0..7 and 4..11 share 4..7, the residual block
         first = np.arange(16.0)[::-1]
         part = split_sharing_inter([first, np.roll(first, 4)], 8, residual_threshold=1.0)
-        return layer_to_tensors(assemble_moe(ffn, part, k=1))
+        path = str(tmp_path / "valid_layer.mft")
+        write_layer(path, assemble_moe(teacher_file[1], part, k=1))
+        return read_mft(path)
 
     def train(self, teacher_file, tmp_path, tensors):
         path, _ = teacher_file
@@ -546,7 +549,7 @@ class TestLayerFile:
         return code
 
     def test_valid_file_trains(self, teacher_file, tmp_path):
-        tensors = self.tensors(teacher_file[1])
+        tensors = self.tensors(teacher_file, tmp_path)
         assert tensors["residual.indices"].tolist() == [4, 5, 6, 7]
         assert self.train(teacher_file, tmp_path, tensors) == EXIT_OK
 
@@ -566,7 +569,7 @@ class TestLayerFile:
         ],
     )
     def test_bad_integer_tensor(self, teacher_file, tmp_path, capsys, name, value):
-        tensors = self.tensors(teacher_file[1])
+        tensors = self.tensors(teacher_file, tmp_path)
         tensors[name] = value
         assert self.train(teacher_file, tmp_path, tensors) == EXIT_DATA
         assert name in capsys.readouterr().err
@@ -589,19 +592,22 @@ class TestLayerFile:
         self, teacher_file, tmp_path, capsys, name, value
     ):
         # experts are 8 neurons wide, the residual 4, the teacher's d_h is 16
-        tensors = self.tensors(teacher_file[1])
+        tensors = self.tensors(teacher_file, tmp_path)
         tensors[name] = np.array(value, dtype=np.float64)
         assert self.train(teacher_file, tmp_path, tensors) == EXIT_DATA
         assert name in capsys.readouterr().err
 
-    def test_indices_bounded_by_the_teacher(self, teacher_file):
-        tensors = self.tensors(teacher_file[1])
+    def test_indices_bounded_by_the_teacher(self, teacher_file, tmp_path):
+        tensors = self.tensors(teacher_file, tmp_path)
+        path = str(tmp_path / "layer.mft")
         tensors["expert.1.indices"] = np.array([8, 9, 10, 11, 12, 13, 14, 99.0])
+        write_mft(path, tensors)
         with pytest.raises(MftError, match="expert.1.indices"):
-            layer_from_tensors(tensors, teacher_d_h=16)
+            read_layer(path, teacher_d_h=16)
         tensors["expert.1.indices"] = np.array([8, 9, 10, 11, 12, 14, 13, 15.0])
+        write_mft(path, tensors)
         with pytest.raises(MftError, match="strictly increasing"):
-            layer_from_tensors(tensors, teacher_d_h=16)
+            read_layer(path, teacher_d_h=16)
 
     @pytest.mark.parametrize(
         "name", ["residual.w_gate", "residual.indices", "expert.1.w_down"]
@@ -609,7 +615,7 @@ class TestLayerFile:
     def test_partial_expert_names_missing_tensor(
         self, teacher_file, tmp_path, capsys, name
     ):
-        tensors = self.tensors(teacher_file[1])
+        tensors = self.tensors(teacher_file, tmp_path)
         del tensors[name]
         assert self.train(teacher_file, tmp_path, tensors) == EXIT_DATA
         assert f"missing tensor {name!r}" in capsys.readouterr().err
@@ -630,7 +636,7 @@ class TestLayerFile:
     ):
         # the teacher and the layer have d = 8, two experts of 8 neurons and
         # a residual of 4; the reader takes d from the gate
-        tensors = self.tensors(teacher_file[1])
+        tensors = self.tensors(teacher_file, tmp_path)
         tensors.update({name: np.full(shape, 0.5) for name, shape in shapes.items()})
         assert self.train(teacher_file, tmp_path, tensors) == EXIT_DATA
         err = capsys.readouterr().err
@@ -645,7 +651,7 @@ class TestTeacherFile:
     @pytest.mark.parametrize("fault", ["nan", "w_gate-cols"])
     def test_bad_teacher_names_file(self, teacher_file, tmp_path, capsys, command, fault):
         good, ffn = teacher_file
-        tensors = {name: w.copy() for name, w in ffn_to_tensors(ffn).items()}
+        tensors = {part: getattr(ffn, part).copy() for part in ("w_up", "w_gate", "w_down")}
         if fault == "nan":
             tensors["w_up"][3, 5] = np.nan
         else:
@@ -731,6 +737,17 @@ class TestAnalyze:
         argv = ["analyze", "--routing", path, "--domains", "a,a,b", "--out", str(out)]
         assert exit_code(argv) == EXIT_USAGE
         assert "--domains: repeats a label: a,a,b" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("domains", ["a,,b", ""])
+    def test_empty_domain_label_usage_error(self, tmp_path, capsys, domains):
+        # an empty label would count the rows whose domain field is blank,
+        # and an empty list would silently stand for the default domains
+        path = self.write_csv(tmp_path, ["0,a,0,0,1.0", "1,,0,1,1.0"])
+        out = tmp_path / "o"
+        argv = ["analyze", "--routing", path, "--domains", domains, "--out", str(out)]
+        assert exit_code(argv) == EXIT_USAGE
+        assert f"--domains: has an empty label: {domains!r}" in capsys.readouterr().err
         assert not out.exists()
 
     def test_unknown_domain_cited(self, tmp_path, capsys):

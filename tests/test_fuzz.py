@@ -14,9 +14,9 @@ import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from moeforge.cli import EXIT_DATA, EXIT_DIVERGENCE, EXIT_OK, ffn_to_mft, main
+from moeforge.cli import EXIT_DATA, EXIT_DIVERGENCE, EXIT_OK, main
 from moeforge.dense_ffn import DenseFfn
-from moeforge.layerio import layer_to_tensors
+from moeforge.layerio import write_layer
 from moeforge.mft import MftError, read_mft, write_mft
 from moeforge.moe import assemble_moe
 from moeforge.partition import split_sharing_inter
@@ -32,7 +32,10 @@ TEACHER = DenseFfn.random(8, 16, Rng(55))
 def valid_layer_tensors():
     first = np.arange(16.0)[::-1]
     part = split_sharing_inter([first, np.roll(first, 4)], 8, residual_threshold=1.0)
-    return layer_to_tensors(assemble_moe(TEACHER, part, k=1))
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "layer.mft")
+        write_layer(path, assemble_moe(TEACHER, part, k=1))
+        return read_mft(path)
 
 
 def mft_bytes(tensors) -> bytes:
@@ -165,6 +168,7 @@ def test_mutated_layer_train_exits_cleanly(tmp_path, data):
     values = data.draw(st.lists(layer_values, min_size=size, max_size=size))
     tensors[name] = np.array(values, dtype=np.float64).reshape(shape)
     teacher_path, layer_path = str(tmp_path / "teacher.mft"), str(tmp_path / "layer.mft")
-    ffn_to_mft(teacher_path, TEACHER)
+    write_mft(teacher_path,
+              {"w_up": TEACHER.w_up, "w_gate": TEACHER.w_gate, "w_down": TEACHER.w_down})
     write_mft(layer_path, tensors)
     assert train(tmp_path, layer_path, teacher_path) in (EXIT_OK, EXIT_DATA, EXIT_DIVERGENCE)

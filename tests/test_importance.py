@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from moeforge import dense_ffn, importance
-from moeforge.cli import ffn_to_mft, main
+from moeforge.cli import main
 from moeforge.dense_ffn import EVAL_ROWS, DenseFfn, ffn_forward
 from moeforge.importance import (
     DataGroup,
@@ -15,6 +15,7 @@ from moeforge.importance import (
     importance_by_groups,
     synthetic_importance,
 )
+from moeforge.mft import write_mft
 from moeforge.tensor import Rng
 
 SIGMOID_1 = 0.7310585786300049
@@ -242,7 +243,8 @@ class TestChunkedScoring:
 def small_split(tmp_path):
     """`main`'s exit code for a small sharing_inter split of 150 samples."""
     teacher = str(tmp_path / "teacher.mft")
-    ffn_to_mft(teacher, DenseFfn.random(8, 32, Rng(5)))
+    ffn = DenseFfn.random(8, 32, Rng(5))
+    write_mft(teacher, {"w_up": ffn.w_up, "w_gate": ffn.w_gate, "w_down": ffn.w_down})
     return main([
         "split", "--ffn", teacher, "--method", "sharing_inter", "--experts", "4",
         "--topk", "2", "--importance-samples", "150", "--seed", "3",

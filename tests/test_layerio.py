@@ -1,15 +1,15 @@
-"""The artifact layouts: their bytes are pinned, and no other module of the
-package spells a layer tensor name."""
+"""The artifact files: their bytes are pinned, no other module of the
+package spells a layer tensor name, and none but `mft` itself binds the
+MFT reader or writer."""
 
 import ast
 import hashlib
 from pathlib import Path
 
 import moeforge
-from moeforge.cli import write_layer
 from moeforge.dense_ffn import DenseFfn
 from moeforge.importance import synthetic_importance
-from moeforge.layerio import partition_to_json
+from moeforge.layerio import write_layer, write_partition
 from moeforge.moe import assemble_moe
 from moeforge.partition import split_sharing_inter
 from moeforge.tensor import Rng
@@ -22,11 +22,12 @@ def test_layer_and_partition_bytes_are_pinned(tmp_path):
     ffn = DenseFfn.random(8, 32, Rng(12))
     part = split_sharing_inter(synthetic_importance(ffn, 4, 12, 64), 8, 0.5)
     assert len(part.shared_residual) == 9
-    path = tmp_path / "layer.mft"
-    write_layer(str(path), assemble_moe(ffn, part, k=2, gate_init="random", seed=12))
-    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+    layer, partition = tmp_path / "layer.mft", tmp_path / "partition.json"
+    write_layer(str(layer), assemble_moe(ffn, part, k=2, gate_init="random", seed=12))
+    write_partition(str(partition), part)
+    assert hashlib.sha256(layer.read_bytes()).hexdigest() == (
         "740ca1b5bc1601f8b3a10376d85111b43a2ab6bf2743960531893724f3e73af8")
-    assert hashlib.sha256(partition_to_json(part).encode()).hexdigest() == (
+    assert hashlib.sha256(partition.read_bytes()).hexdigest() == (
         "12def700ea57ace71a69182efb6dd21ed1e4c9191ca5ebb9301c75d12a81b44e")
 
 
@@ -40,5 +41,21 @@ def test_only_layerio_spells_layer_tensor_names():
             for node in ast.walk(ast.parse(path.read_text()))
             if isinstance(node, ast.Constant) and isinstance(node.value, str)
             and node.value.startswith(("gate.", "expert.", "residual."))
+        ]
+    assert not found, found
+
+
+def test_only_mft_and_layerio_bind_the_mft_functions():
+    # every other module reads and writes the artifact files through layerio
+    mft_io = ("read_mft", "write_mft")
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name in ("mft.py", "layerio.py"):
+            continue
+        found += [
+            f"{path.name}:{node.lineno}"
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.alias) and node.name in mft_io
+            or isinstance(node, ast.Attribute) and node.attr in mft_io
         ]
     assert not found, found

@@ -268,7 +268,8 @@ def test_dynamic_schedule_without_observed_rows(tmp_path, loss_files):
 def test_zero_interval_error_identical(tmp_path, loss_files):
     code, _, stderr, text = assert_schedule_matches(
         tmp_path, ["--mode", "dynamic", "--draws", "10", "--interval", "0", *loss_files])
-    assert code == cli.EXIT_DATA and "update_interval_tokens" in stderr and text is None
+    # refused by argparse before either schedule runs
+    assert code == cli.EXIT_USAGE and "--interval: must be at least 1" in stderr and text is None
 
 
 def test_wrong_length_observed_row_error_identical(tmp_path, loss_files):

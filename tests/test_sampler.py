@@ -88,6 +88,12 @@ class TestDynamicUpdate:
             update_interval_tokens=interval,
         )
 
+    @pytest.mark.parametrize("interval", [0, -5])
+    def test_nonpositive_interval_refused(self, interval):
+        # the CLI refuses these in argparse; API callers meet this check
+        with pytest.raises(ValueError, match="update_interval_tokens must be positive"):
+            self.make_dynamic(load_preset("llama_v1"), np.ones(7), interval=interval)
+
     def test_observed_equals_reference_reverts(self):
         w = load_preset("llama_v1")
         ref = np.linspace(1.5, 2.5, 7)
