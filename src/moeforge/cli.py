@@ -15,8 +15,7 @@ from dataclasses import fields
 import numpy as np
 
 from .importance import synthetic_importance
-from .layerio import read_ffn, read_layer, write_layer, write_partition
-from .mft import MftError
+from .layerio import read_ffn, read_layer, write_layer, write_split
 from .moe import assemble_moe
 from .partition import (
     PartitionMethod,
@@ -72,12 +71,10 @@ def cmd_split(args) -> int:
         else:
             partition = split_sharing_inter(vecs, m, args.residual_threshold)
 
-    # assembled first, so a bad --topk writes neither file
     layer = assemble_moe(
         ffn, partition, k=args.topk, gate_init=args.gate_init, seed=args.seed
     )
-    write_partition(args.out_partition, partition)
-    write_layer(args.out_layer, layer)
+    write_split(args.out_partition, args.out_layer, partition, layer)
 
     print(f"method={method.value} n={partition.n} m={partition.m} d_h={partition.d_h}")
     print(f"scale_factor={layer.scale_factor} residual={len(partition.shared_residual)}")
@@ -96,16 +93,15 @@ def cmd_train(args) -> int:
     data = Rng(cfg.seed).normal_array((cfg.num_samples, teacher.d))
 
     os.makedirs(args.out, exist_ok=True)
-    report_path = os.path.join(args.out, "train_report.csv")
     try:
-        report = train_distill(layer, teacher, data, cfg)
+        report, diverged = train_distill(layer, teacher, data, cfg), None
     except DivergenceError as err:
-        with open(report_path, "w") as f:
-            f.write(err.report.to_csv())
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_DIVERGENCE
-    with open(report_path, "w") as f:
+        report, diverged = err.report, err
+    with open(os.path.join(args.out, "train_report.csv"), "w") as f:
         f.write(report.to_csv())
+    if diverged:
+        print(f"error: {diverged}", file=sys.stderr)
+        return EXIT_DIVERGENCE
     write_layer(os.path.join(args.out, "layer_final.mft"), layer)
     print(f"final_mse={report.final_mse!r}")
     return EXIT_OK
@@ -140,14 +136,15 @@ def cmd_schedule(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    domains = tuple(args.domains.split(",")) if args.domains else DEFAULT_DOMAINS
+    domains = args.domains or DEFAULT_DOMAINS
     records = read_routing_csv(args.routing, domains)
     os.makedirs(args.out, exist_ok=True)
     if not len(records):
         print("no records; nothing to write")
         return EXIT_OK
-    n_layers = int(records.layer.max()) + 1
-    n_experts = args.experts or int(records.expert.max()) + 1
+    # a negative id sizes its axis 1, so collect_routing names the record
+    n_layers = max(int(records.layer.max()), 0) + 1
+    n_experts = args.experts or max(int(records.expert.max()), 0) + 1
     stats = collect_routing(records, n_layers, n_experts, domains)
     for layer in range(n_layers):
         with open(os.path.join(args.out, f"heatmap_layer{layer}.csv"), "w") as f:
@@ -180,14 +177,14 @@ def fraction(text: str) -> float:
     return value
 
 
-def labels(text: str) -> str:
+def labels(text: str) -> tuple[str, ...]:
     """argparse type for comma-separated labels, none of them empty or repeated."""
     names = text.split(",")
     if "" in names:
         raise argparse.ArgumentTypeError(f"has an empty label: {text!r}")
     if len(set(names)) < len(names):
         raise argparse.ArgumentTypeError(f"repeats a label: {text}")
-    return text
+    return tuple(names)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -223,7 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     hp = sub.add_parser("schedule", help="emit a domain-mixture schedule log")
     hp.add_argument("--preset", default="llama_v1")
-    hp.add_argument("--mode", choices=["static", "dynamic"], default="static")
+    hp.add_argument("--mode", choices=[m.value for m in SamplerMode], default="static")
     hp.add_argument("--draws", type=at_least(0), default=1000)
     hp.add_argument("--interval", type=at_least(1), default=100)
     hp.add_argument("--seed", type=int, default=0)
@@ -246,7 +243,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (MftError, ValueError, OSError, json.JSONDecodeError, KeyError, MemoryError) as err:
+    except (ValueError, OSError, KeyError, MemoryError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_DATA
 

@@ -5,6 +5,7 @@ reads or writes them or knows their tensor names and keys, which README lists.""
 from __future__ import annotations
 
 import json
+import os
 
 import numpy as np
 
@@ -61,22 +62,6 @@ def read_ffn(path: str) -> DenseFfn:
     return _decode(path, _ffn_from_tensors)
 
 
-def _layer_to_tensors(layer: MoeLayer) -> dict[str, np.ndarray]:
-    tensors: dict[str, np.ndarray] = {
-        "gate.w_g": layer.gate.w_g,
-        "gate.w_noise": layer.gate.w_noise,
-        "gate.k": np.array([float(layer.gate.k)]),
-    }
-    experts = [(f"expert.{i}.", ex) for i, ex in enumerate(layer.experts)]
-    if layer.residual_expert is not None:
-        experts.append(("residual.", layer.residual_expert))
-    for prefix, ex in experts:
-        for part in SWIGLU_PARTS:
-            tensors[prefix + part] = getattr(ex, part)
-        tensors[prefix + "indices"] = np.array(ex.source_indices, dtype=np.float64)
-    return tensors
-
-
 def _expert(
     tensors: dict[str, np.ndarray], prefix: str, gate: GateNetwork, teacher_d_h: int
 ) -> ExpertFfn:
@@ -120,10 +105,24 @@ def read_layer(path: str, teacher_d_h: int) -> MoeLayer:
 
 
 def write_layer(path: str, layer: MoeLayer) -> None:
-    write_mft(path, _layer_to_tensors(layer))
+    tensors: dict[str, np.ndarray] = {
+        "gate.w_g": layer.gate.w_g,
+        "gate.w_noise": layer.gate.w_noise,
+        "gate.k": np.array([float(layer.gate.k)]),
+    }
+    experts = [(f"expert.{i}.", ex) for i, ex in enumerate(layer.experts)]
+    if layer.residual_expert is not None:
+        experts.append(("residual.", layer.residual_expert))
+    for prefix, ex in experts:
+        for part in SWIGLU_PARTS:
+            tensors[prefix + part] = getattr(ex, part)
+        tensors[prefix + "indices"] = np.array(ex.source_indices, dtype=np.float64)
+    write_mft(path, tensors)
 
 
-def write_partition(path: str, p: ExpertPartition) -> None:
+def write_split(partition_path: str, layer_path: str, p: ExpertPartition, layer: MoeLayer) -> None:
+    """A split's two files, both or neither: the partition goes first and
+    is removed again if the layer cannot be written."""
     doc = {
         "n": p.n,
         "m": p.m,
@@ -132,5 +131,10 @@ def write_partition(path: str, p: ExpertPartition) -> None:
         "sets": [list(s) for s in p.sets],
         "residual": list(p.shared_residual),
     }
-    with open(path, "w") as f:
+    with open(partition_path, "w") as f:
         f.write(json.dumps(doc, indent=2) + "\n")
+    try:
+        write_layer(layer_path, layer)
+    except BaseException:
+        os.remove(partition_path)
+        raise

@@ -118,6 +118,21 @@ class TestSplit:
         ) == code
         assert not part.exists() and not layer.exists()
 
+    @pytest.mark.parametrize("unwritable", ["--out-layer", "--out-partition"])
+    def test_unwritable_output_writes_no_file(self, teacher_file, tmp_path, capsys, unwritable):
+        # a split writes both files or neither, whichever path cannot be opened
+        path, _ = teacher_file
+        outs = {"--out-partition": tmp_path / "p.json", "--out-layer": tmp_path / "l.mft"}
+        outs[unwritable] = tmp_path / "nodir" / "x"
+        code = run([
+            "split", "--ffn", path, "--method", "independent_random",
+            "--experts", "4", "--seed", "0",
+            *(str(arg) for item in outs.items() for arg in item),
+        ])
+        assert code == EXIT_DATA
+        assert "No such file or directory" in capsys.readouterr().err
+        assert not any(out.exists() for out in outs.values())
+
     @pytest.mark.parametrize("value", ["0", "-5"])
     @pytest.mark.parametrize("option", ["--experts", "--topk", "--importance-samples"])
     def test_nonpositive_count_usage_error(self, teacher_file, tmp_path, capsys, option, value):
@@ -749,6 +764,18 @@ class TestAnalyze:
         assert exit_code(argv) == EXIT_USAGE
         assert f"--domains: has an empty label: {domains!r}" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("row, message", [
+        ("1,C4,0,-3,0.5", "expert -3 out of range [0, 1)"),
+        ("1,C4,-2,0,0.5", "layer -2 out of range [0, 1)"),
+    ])
+    def test_negative_id_names_the_record(self, tmp_path, capsys, row, message):
+        # with every id negative the table is still sized 1, not max + 1
+        path = self.write_csv(tmp_path, [row])
+        out = tmp_path / "o"
+        assert run(["analyze", "--routing", path, "--out", str(out)]) == EXIT_DATA
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not list(out.iterdir())
 
     def test_unknown_domain_cited(self, tmp_path, capsys):
         path = self.write_csv(tmp_path, ["0,NotADomain,0,0,1.0"])

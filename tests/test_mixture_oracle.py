@@ -343,14 +343,14 @@ def test_collect_matches_record_loop(records):
 
 def analyze_oracle(args) -> int:
     """The per-line `cmd_analyze`: a RoutingRecord per line, counted one by one."""
-    domains = tuple(args.domains.split(",")) if args.domains else DEFAULT_DOMAINS
+    domains = args.domains or DEFAULT_DOMAINS
     records = parse_routing_csv(args.routing, domains)
     os.makedirs(args.out, exist_ok=True)
     if not records:
         print("no records; nothing to write")
         return cli.EXIT_OK
-    n_layers = max(r.layer for r in records) + 1
-    n_experts = args.experts if args.experts else max(r.expert for r in records) + 1
+    n_layers = max(max(r.layer for r in records), 0) + 1
+    n_experts = args.experts if args.experts else max(max(r.expert for r in records), 0) + 1
     stats = collect_oracle(records, n_layers, n_experts, domains)
     for layer in range(n_layers):
         with open(os.path.join(args.out, f"heatmap_layer{layer}.csv"), "w") as f:
