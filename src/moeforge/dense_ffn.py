@@ -2,10 +2,10 @@
 
 Forward: h = (x @ W_up) * swish(x @ W_gate), y = h @ W_down. Input x is a
 row vector left-multiplying the weights, so "neuron j" means column j of
-W_up/W_gate and row j of W_down. A batch X (B, d) stacks B such rows, and
-every SwiGLU in the package (teacher, experts, residual expert) runs
-through the batch-first `swiglu_forward` / `swiglu_backward` pair, and
-importance scoring through `swiglu_hidden`, the part of the forward up to H.
+W_up/W_gate and row j of W_down. Every kernel takes a batch X (B, d) of B
+such rows and returns (B, .) arrays: the teacher, experts and residual
+expert run through `swiglu_forward` / `swiglu_backward`, and importance
+scoring through `swiglu_hidden`, the part of the forward up to H.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .tensor import as_matrix, as_rows, sigmoid
+from .tensor import as_matrix, sigmoid
 
 # Rows per piece when a pass over many inputs goes through in chunks, so its
 # temporaries do not grow with the number of inputs.
@@ -74,10 +74,6 @@ class ExpertFfn(DenseFfn):
 
     source_indices: tuple[int, ...] = ()
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        """Expert output for x (d,) or a batch X (B, d)."""
-        return ffn_forward(self, x)[0]
-
     def param_count(self) -> int:
         return self.w_up.size + self.w_gate.size + self.w_down.size
 
@@ -125,9 +121,8 @@ def swiglu_backward(
 
 
 def ffn_forward(ffn: DenseFfn, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Returns (y, h) for x (d,) or (Y, H) for a batch X (B, d), validating
-    the input."""
-    xs, single = as_rows(x, ffn.d)
-    y, cache = swiglu_forward(xs, ffn.w_up, ffn.w_gate, ffn.w_down)
-    return (y[0], cache.h[0]) if single else (y, cache.h)
+    """Returns (Y, H), (B, d) and (B, d_h), for a batch X (B, d), validating
+    the input: a single (d,) vector is a ShapeError, not a batch of one."""
+    y, cache = swiglu_forward(as_matrix(x, cols=ffn.d), ffn.w_up, ffn.w_gate, ffn.w_down)
+    return y, cache.h
 

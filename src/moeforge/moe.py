@@ -1,5 +1,6 @@
 """Sparse mixture-of-experts layer: sliced SwiGLU experts, noisy top-k
 gating, N/k output re-scaling, and coefficient-of-variation balance losses.
+Every kernel takes a batch X (B, d) and returns (B, .) arrays.
 """
 
 from __future__ import annotations
@@ -10,7 +11,7 @@ import numpy as np
 
 from .dense_ffn import DenseFfn, ExpertFfn, SwigluCache, swiglu_forward
 from .partition import slice_expert, slice_experts
-from .tensor import Rng, ShapeError, as_matrix, as_rows, softmax, top_k_indices
+from .tensor import Rng, ShapeError, as_matrix, softmax, top_k_indices
 
 
 def softplus(z: np.ndarray) -> np.ndarray:
@@ -43,24 +44,25 @@ class GateNetwork:
 
 @dataclass(frozen=True)
 class TokenRouting:
-    """Selected expert indices and their gate weights for one token. For a
-    batch, `moe_forward` fills both fields with (B, k) arrays."""
+    """A batch's routing: each row's selected experts in ascending order
+    (`experts`, (B, k)) and their gate weights (`weights`, (B, k))."""
 
-    experts: tuple[int, ...]
-    weights: tuple[float, ...]
+    experts: np.ndarray
+    weights: np.ndarray
 
 
 def route(
     gate: GateNetwork, x: np.ndarray, rng: Rng | None = None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Gate a batch X (B, d): returns clean logits (B, N), the top-k set
-    (B, k) and its softmax weights (B, k).
+    """Gate a batch X (B, d), validating it: returns clean logits (B, N),
+    the top-k set (B, k) and its softmax weights (B, k).
 
     Noisy logits: (x @ w_g)_i + eps_i * softplus((x @ w_noise)_i) with
     eps ~ N(0,1) drawn row by row when noise is enabled. Selection
     (`top_k_indices`) and the softmax weights use the noisy logits; the
     returned logits are the clean ones.
     """
+    x = as_matrix(x, cols=gate.w_g.shape[0])
     logits = x @ gate.w_g
     noisy = logits
     if gate.noise_enabled:
@@ -69,19 +71,6 @@ def route(
         noisy = logits + rng.normal_array(logits.shape) * softplus(x @ gate.w_noise)
     top = top_k_indices(noisy, gate.k)
     return logits, top, softmax(np.take_along_axis(noisy, top, axis=-1))
-
-
-def gate_forward(
-    gate: GateNetwork, x: np.ndarray, rng: Rng | None = None
-) -> tuple[np.ndarray, tuple[int, ...]]:
-    """Returns (weights over all N experts with exactly k nonzero, top-k set)
-    for one token x (d,). Softmax is taken over the k surviving logits with
-    the rest masked."""
-    xs, _ = as_rows(x, gate.w_g.shape[0])
-    _, top, g = route(gate, xs, rng)
-    weights = np.zeros(gate.n_experts)
-    weights[top[0]] = g[0]
-    return weights, tuple(int(i) for i in top[0])
 
 
 @dataclass
@@ -158,13 +147,12 @@ def dispatch(
 def moe_forward(
     layer: MoeLayer, x: np.ndarray, rng: Rng | None = None
 ) -> tuple[np.ndarray, TokenRouting]:
-    """y = sum_{i in topk} G(x)_i * (N/k) * E_i(x), plus the ungated,
-    unscaled residual expert when present, for x (d,) or a batch X (B, d)."""
-    xs, single = as_rows(x, layer.d)
+    """Y (B, d) for a batch X (B, d), validating it: row b is
+    sum_{i in topk} G(x)_i * (N/k) * E_i(x) for x = X[b], plus the ungated,
+    unscaled residual expert when present. The routing holds (B, k) arrays."""
+    xs = as_matrix(x, cols=layer.d)
     _, top, g = route(layer.gate, xs, rng)
     y, _, _ = dispatch(layer, xs, top, g)
-    if single:
-        return y[0], TokenRouting(tuple(top[0].tolist()), tuple(g[0].tolist()))
     return y, TokenRouting(experts=top, weights=g)
 
 
@@ -185,23 +173,6 @@ def balance_sums(probs: np.ndarray, top: np.ndarray) -> tuple[np.ndarray, np.nda
     return probs.sum(axis=0), np.bincount(top.ravel(), minlength=probs.shape[1])
 
 
-def balance_loss(
-    batch_routing: list[TokenRouting], gate_probs: list[np.ndarray]
-) -> tuple[float, float]:
-    """Returns (importance_loss, load_loss).
-
-    importance_loss: CV^2 of per-expert summed gate probabilities.
-    load_loss: CV^2 of hard per-expert selection counts.
-    """
-    if not batch_routing or not gate_probs:
-        raise ValueError("balance_loss requires a nonempty batch")
-    importance, counts = balance_sums(
-        np.asarray(gate_probs, dtype=np.float64),
-        np.concatenate([r.experts for r in batch_routing]),
-    )
-    return cv_squared(importance), cv_squared(counts)
-
-
 def assemble_moe(
     ffn: DenseFfn,
     partition,
@@ -211,9 +182,10 @@ def assemble_moe(
 ) -> MoeLayer:
     """Slice experts per the partition and attach a fresh gate.
 
-    gate_init "zeros" routes uniformly at step 0; "random" draws small
-    gaussian gate weights from the given seed. The gate is built first, so
-    a bad k fails before any expert is sliced.
+    gate_init "zeros" ties every logit, so at step 0 every token goes to
+    experts 0..k-1 (a tie goes to the lower index) with weight 1/k each;
+    "random" draws small gaussian gate weights from the given seed. The
+    gate is built first, so a bad k fails before any expert is sliced.
     """
     n = partition.n
     if gate_init == "zeros":

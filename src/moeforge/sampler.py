@@ -66,14 +66,18 @@ class DomainWeights:
 
 def load_preset(name_or_path: str) -> DomainWeights:
     """Load a weight preset: a packaged name (llama_v1, sheared_final,
-    uniform) or a path to a JSON {domain: weight} file."""
+    uniform) or a path to a JSON {domain: weight} file of numbers."""
     packaged = resources.files("moeforge").joinpath(f"presets/{name_or_path}.json")
     try:
         text = packaged.read_text()
     except (FileNotFoundError, ModuleNotFoundError):
         with open(name_or_path) as f:
             text = f.read()
-    return DomainWeights.from_mapping(json.loads(text))
+    # an integer too large for a float reads as inf, which the sum check reports
+    doc = json.loads(text, parse_int=float)
+    if not isinstance(doc, dict) or not all(isinstance(w, float) for w in doc.values()):
+        raise ValueError(f"preset {name_or_path} must be a JSON {{domain: number}} object")
+    return DomainWeights.from_mapping(doc)
 
 
 @dataclass(frozen=True)

@@ -37,17 +37,6 @@ def as_matrix(a, rows: int | None = None, cols: int | None = None) -> np.ndarray
     return np.ascontiguousarray(m)
 
 
-def as_rows(x, cols: int) -> tuple[np.ndarray, bool]:
-    """Validate `x` as one (cols,) vector or a (B, cols) batch of row vectors.
-
-    Returns the (B, cols) batch and whether `x` was a single vector, which
-    the batch treats as B=1.
-    """
-    a = np.asarray(x, dtype=np.float64)
-    single = a.ndim == 1
-    return as_matrix(a[None, :] if single else a, cols=cols), single
-
-
 def sigmoid(z: np.ndarray) -> np.ndarray:
     """Logistic function, overflow-safe for large |z|: 1 / (1 + e^-z) for
     z >= 0 and e^z / (1 + e^z) below, with no branch: the numerator is

@@ -12,13 +12,7 @@ import pytest
 from moeforge.cli import main
 from moeforge.dense_ffn import DenseFfn, ffn_forward
 from moeforge.mft import write_mft
-from moeforge.moe import (
-    GateNetwork,
-    TokenRouting,
-    assemble_moe,
-    balance_loss,
-    gate_forward,
-)
+from moeforge.moe import GateNetwork, assemble_moe, balance_sums, cv_squared, route
 from moeforge.partition import (
     slice_expert,
     split_independent_clustering,
@@ -61,11 +55,10 @@ def test_criterion_1_partition_sum_identity():
             partitions.append(split_independent_clustering(ffn, n, rng))
         for partition in partitions:
             experts = [slice_expert(ffn, s) for s in partition.sets]
-            for _ in range(10):
-                x = rng.normal_array((d,))
-                y, _ = ffn_forward(ffn, x)
-                total = sum(e.forward(x) for e in experts)
-                assert np.abs(total - y).max() <= 1e-9
+            x = rng.normal_array((10, d))
+            y, _ = ffn_forward(ffn, x)
+            total = sum(ffn_forward(e, x)[0] for e in experts)
+            assert np.abs(total - y).max() <= 1e-9
     elapsed = time.monotonic() - start
     assert elapsed < 5.0, f"took {elapsed:.1f}s"
     report(1, f"partition-sum identity over 100 instances ({elapsed:.2f}s)")
@@ -110,7 +103,7 @@ def test_criterion_3_rescaling_configuration():
 
 def test_criterion_4_gate_contract():
     d, n = 6, 8
-    calls = 0
+    decisions = 0
     for k in (1, 2, 4):
         rng = Rng(1000 + k)
         gate = GateNetwork(
@@ -120,14 +113,15 @@ def test_criterion_4_gate_contract():
             noise_enabled=True,
         )
         noise_rng = Rng(2000 + k)
-        for _ in range(3334):
-            weights, topk = gate_forward(gate, rng.normal_array((d,)), noise_rng)
-            assert len(topk) == k
-            assert np.count_nonzero(weights) == k
-            assert abs(sum(weights[i] for i in topk) - 1.0) <= 1e-12
-            calls += 1
-    assert calls >= 10_000
-    report(4, f"gate simplex and exact-k selection over {calls} noisy calls")
+        _, top, g = route(gate, rng.normal_array((3334, d)), noise_rng)
+        assert top.shape == g.shape == (3334, k)
+        assert np.all(np.diff(top, axis=1) > 0)  # k distinct experts, ascending
+        assert top.min() >= 0 and top.max() < n
+        assert np.all(g > 0)
+        assert np.abs(g.sum(axis=1) - 1.0).max() <= 1e-12
+        decisions += len(top)
+    assert decisions >= 10_000
+    report(4, f"gate simplex and exact-k selection over {decisions} noisy decisions")
 
 
 def test_criterion_5_gradient_oracle():
@@ -202,16 +196,15 @@ def test_criterion_6_recovery_and_scratch_gap():
     report(6, f"recovery MSE {rep.final_mse:.2e} < 1e-6; scratch worse in {wins}/100")
 
 
-def test_criterion_7_balance_loss_closed_forms():
-    one_hot = [TokenRouting(experts=(0,), weights=(1.0,)) for _ in range(12)]
-    probs_hot = [np.array([1.0, 0.0, 0.0, 0.0])] * 12
-    imp, load = balance_loss(one_hot, probs_hot)
-    assert imp == 3.0 and load == 3.0
+def test_criterion_7_balance_cv_closed_forms():
+    probs_hot = np.zeros((12, 4))
+    probs_hot[:, 0] = 1.0
+    imp, load = balance_sums(probs_hot, np.zeros((12, 1), dtype=int))
+    assert cv_squared(imp) == 3.0 and cv_squared(load) == 3.0
 
-    uniform = [TokenRouting(experts=(t % 4,), weights=(1.0,)) for t in range(12)]
-    probs_uniform = [np.full(4, 0.25)] * 12
-    imp, load = balance_loss(uniform, probs_uniform)
-    assert imp == 0.0 and load == 0.0
+    uniform_top = (np.arange(12) % 4)[:, None]
+    imp, load = balance_sums(np.full((12, 4), 0.25), uniform_top)
+    assert cv_squared(imp) == 0.0 and cv_squared(load) == 0.0
     report(7, "one-hot CV^2 == 3 and uniform CV^2 == 0, exactly")
 
 

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from moeforge.dense_ffn import DenseFfn
-from moeforge.moe import TokenRouting, assemble_moe, balance_loss, moe_forward
+from moeforge.moe import assemble_moe, moe_forward
 from moeforge.partition import split_independent_random, split_sharing_inter
 from moeforge.tensor import Rng, sigmoid, softmax, swish
 from moeforge.trainer import batch_loss_and_grads, distill_mse
@@ -30,6 +30,11 @@ def expert_forward(ex, x):
 def token_topk(logits, k):
     order = sorted(range(len(logits)), key=lambda i: (-logits[i], i))
     return tuple(sorted(order[:k]))
+
+
+def cv2(v):
+    """(std / mean)^2 with population variance."""
+    return float(np.var(v) / np.mean(v) ** 2)
 
 
 def oracle_moe_forward(layer, x):
@@ -56,7 +61,8 @@ def oracle_loss_and_grads(layer, teacher, xs, balance_coeff):
     g_res = None if r is None else [np.zeros_like(w) for w in (r.w_up, r.w_gate, r.w_down)]
 
     mse_sum = 0.0
-    probs, routings, topks, weights = [], [], [], []
+    importance, counts = np.zeros(n), np.zeros(n)
+    probs, topks, weights = [], [], []
     for x in xs:
         target = expert_forward(teacher, x)
         logits = x @ layer.gate.w_g
@@ -100,14 +106,14 @@ def oracle_loss_and_grads(layer, teacher, xs, balance_coeff):
             g_wg[:, i] += x * dz[pos]
 
         probs.append(softmax(logits))
-        routings.append(TokenRouting(experts=topk, weights=tuple(g)))
+        importance += probs[-1]
+        for i in topk:
+            counts[i] += 1
         topks.append(topk)
         weights.append(g)
 
-    imp_loss, load_loss = balance_loss(routings, probs)
-    total = mse_sum / batch + balance_coeff * (imp_loss + load_loss)
+    total = mse_sum / batch + balance_coeff * (cv2(importance) + cv2(counts))
     if balance_coeff != 0.0:
-        importance = np.sum(probs, axis=0)
         mu = batch / n
         q = balance_coeff * (2.0 / n) * (importance - mu) / mu**2
         for x, p in zip(xs, probs):
@@ -226,10 +232,10 @@ def test_moe_forward_matches_per_token_oracle(case):
         assert_close(y[b], ref_y)
         assert tuple(routing.experts[b]) == ref_top
         assert_close(routing.weights[b], ref_g)
-        # the one-token form is the B=1 case of the same path
-        y1, routing1 = moe_forward(layer, x)
-        assert_close(y1, ref_y)
-        assert routing1.experts == ref_top
+        # a batch of one token takes the same path
+        y1, routing1 = moe_forward(layer, x[None, :])
+        assert_close(y1[0], ref_y)
+        assert tuple(routing1.experts[0]) == ref_top
     ref_mse = np.mean([
         0.5 * np.sum((oracle_moe_forward(layer, x)[0] - expert_forward(teacher, x)) ** 2)
         for x in xs

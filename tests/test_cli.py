@@ -57,8 +57,8 @@ class TestSplit:
         assert layer.n_experts == 4
         assert layer.scale_factor == 2.0
         # partition-sum identity through the file round trip
-        x = Rng(1).normal_array((8,))
-        total = sum(e.forward(x) for e in layer.experts)
+        x = Rng(1).normal_array((3, 8))
+        total = sum(ffn_forward(e, x)[0] for e in layer.experts)
         y, _ = ffn_forward(ffn, x)
         assert np.abs(total - y).max() <= 1e-9
 
@@ -532,6 +532,19 @@ class TestSchedule:
         out = str(tmp_path / "sched.csv")
         assert run(["schedule", "--preset", str(path), "--out", out]) == EXIT_DATA
         assert "positive, finite sum" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
+    @pytest.mark.parametrize("preset", [
+        "[1, 2]", '"llama_v1"', "3", "null", '{"CommonCrawl": 1, "C4": {"a": 1}}',
+        '{"CommonCrawl": true, "C4": 1}', '{"CommonCrawl": 1, "C4": "1"}',
+    ], ids=["list", "string", "number", "null", "object-weight", "bool-weight", "string-weight"])
+    def test_preset_not_an_object_of_numbers_exits_data_error(self, tmp_path, capsys, preset):
+        path = tmp_path / "preset.json"
+        path.write_text(preset)
+        out = str(tmp_path / "sched.csv")
+        assert run(["schedule", "--preset", str(path), "--out", out]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "must be a JSON {domain: number} object" in err
         assert not os.path.exists(out)
 
 

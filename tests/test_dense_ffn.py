@@ -29,30 +29,30 @@ class TestForward:
             w_gate=np.zeros((4, 6)),
             w_down=rng.normal_array((6, 4)),
         )
-        y, h = ffn_forward(ffn, rng.normal_array((4,)))
-        assert np.array_equal(h, np.zeros(6))
-        assert np.array_equal(y, np.zeros(4))
+        y, h = ffn_forward(ffn, rng.normal_array((3, 4)))
+        assert np.array_equal(h, np.zeros((3, 6)))
+        assert np.array_equal(y, np.zeros((3, 4)))
 
     def test_scalar_hand_evaluation(self):
         ffn = DenseFfn(w_up=[[1.0]], w_gate=[[1.0]], w_down=[[1.0]])
-        y, h = ffn_forward(ffn, np.array([1.0]))
-        assert abs(h[0] - SIGMOID_1) < 1e-12
-        assert abs(y[0] - SIGMOID_1) < 1e-12
+        y, h = ffn_forward(ffn, np.array([[1.0]]))
+        assert abs(h[0, 0] - SIGMOID_1) < 1e-12
+        assert abs(y[0, 0] - SIGMOID_1) < 1e-12
 
     def test_against_naive_oracle(self):
         rng = Rng(77)
         ffn = DenseFfn.random(4, 6, rng)
-        for _ in range(5):
-            x = rng.normal_array((4,))
-            y, h = ffn_forward(ffn, x)
+        xs = rng.normal_array((5, 4))
+        y, h = ffn_forward(ffn, xs)
+        for b, x in enumerate(xs):
             y_ref, h_ref = naive_ffn(ffn.w_up, ffn.w_gate, ffn.w_down, x)
-            assert np.abs(y - y_ref).max() < 1e-12
-            assert np.abs(h - h_ref).max() < 1e-12
+            assert np.abs(y[b] - y_ref).max() < 1e-12
+            assert np.abs(h[b] - h_ref).max() < 1e-12
 
     def test_shape_mismatch(self):
         ffn = DenseFfn.random(4, 6, Rng(0))
         with pytest.raises(ShapeError):
-            ffn_forward(ffn, np.zeros(5))
+            ffn_forward(ffn, np.zeros((2, 5)))
 
     def test_down_projection_linearity(self):
         ffn = DenseFfn.random(4, 6, Rng(2))

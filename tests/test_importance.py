@@ -149,8 +149,8 @@ class TestTaylorSanity:
                     ),
                 )
                 for x, target in samples:
-                    y, _ = ffn_forward(ffn, x)
-                    yp, _ = ffn_forward(pruned, x)
+                    y, _ = ffn_forward(ffn, x[None, :])
+                    yp, _ = ffn_forward(pruned, x[None, :])
                     total += 0.5 * np.sum((yp - target) ** 2) - 0.5 * np.sum(
                         (y - target) ** 2
                     )

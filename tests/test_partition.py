@@ -238,17 +238,17 @@ class TestSliceExpert:
         rng = Rng(20)
         ffn = DenseFfn.random(4, 6, rng)
         ex = slice_expert(ffn, range(6))
-        x = rng.normal_array((4,))
+        x = rng.normal_array((3, 4))
         y, _ = ffn_forward(ffn, x)
-        assert np.array_equal(ex.forward(x), y)
+        assert np.array_equal(ffn_forward(ex, x)[0], y)
 
     def test_rank_one_slice(self):
         rng = Rng(21)
         ffn = DenseFfn.random(4, 6, rng)
-        x = rng.normal_array((4,))
+        x = rng.normal_array((3, 4))
         _, h = ffn_forward(ffn, x)
         ex = slice_expert(ffn, [3])
-        assert np.abs(ex.forward(x) - h[3] * ffn.w_down[3]).max() < 1e-12
+        assert np.abs(ffn_forward(ex, x)[0] - np.outer(h[:, 3], ffn.w_down[3])).max() < 1e-12
 
     def test_out_of_range(self):
         ffn = DenseFfn.random(4, 6, Rng(22))
@@ -274,11 +274,10 @@ class TestSliceExpert:
             ffn = DenseFfn.random(4, 12, rng)
             p = split_independent_random(12, 3, rng)
             experts = [slice_expert(ffn, s) for s in p.sets]
-            for _ in range(5):
-                x = rng.normal_array((4,))
-                y, _ = ffn_forward(ffn, x)
-                total = sum(e.forward(x) for e in experts)
-                assert np.abs(total - y).max() <= 1e-9
+            x = rng.normal_array((5, 4))
+            y, _ = ffn_forward(ffn, x)
+            total = sum(ffn_forward(e, x)[0] for e in experts)
+            assert np.abs(total - y).max() <= 1e-9
 
 
 def take_expert(ffn, s):

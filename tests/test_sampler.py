@@ -1,3 +1,6 @@
+import json
+from importlib import resources
+
 import numpy as np
 import pytest
 
@@ -44,6 +47,17 @@ class TestDomainWeights:
             w = load_preset(name)
             assert w.domains == DEFAULT_DOMAINS
             assert abs(w.weights.sum() - 1.0) <= 1e-12
+            text = resources.files("moeforge").joinpath(f"presets/{name}.json").read_text()
+            raw = np.array(list(json.loads(text).values()), dtype=np.float64)
+            assert np.array_equal(w.weights, raw / raw.sum())
+
+    def test_preset_integers_are_numbers(self, tmp_path):
+        path = tmp_path / "p.json"
+        path.write_text('{"a": 1, "b": 3}')
+        assert load_preset(str(path)).weights.tolist() == [0.25, 0.75]
+        path.write_text('{"a": 1' + "0" * 400 + ', "b": 3}')  # too large for a float
+        with pytest.raises(ValueError, match="positive, finite sum"):
+            load_preset(str(path))
 
 
 class TestNextDomain:
