@@ -110,6 +110,12 @@ class MoeLayer:
     def d(self) -> int:
         return self.experts[0].d
 
+    def parameters(self) -> list[np.ndarray]:
+        """The live trainable arrays, in the trainer's gradient order: gate.w_g,
+        then w_up, w_gate, w_down of each expert, then of the residual one."""
+        experts = [ex for ex in [*self.experts, self.residual_expert] if ex is not None]
+        return [self.gate.w_g] + [w for ex in experts for w in (ex.w_up, ex.w_gate, ex.w_down)]
+
     def activated_ffn_params(self) -> int:
         """Expert parameters touched per token (excludes gate, residual)."""
         return sum(self.experts[i].param_count() for i in range(self.gate.k))

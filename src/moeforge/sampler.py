@@ -142,7 +142,10 @@ def dynamic_update(state: SamplerState, observed_loss) -> SamplerState:
         # no excess loss anywhere: revert to the reference weights exactly
         new_weights = state.reference_weights
     else:
-        raw = state.reference_weights.weights * np.exp(delta)
+        # less the largest weighted excess (normalising cancels it): exp stays finite
+        w = state.reference_weights.weights
+        live = np.where(w > 0, delta, -np.inf)
+        raw = w * np.exp(live - live.max())
         new_weights = DomainWeights(
             domains=state.current.domains, weights=raw / raw.sum()
         )

@@ -64,6 +64,8 @@ class TrainConfig:
                 raise ValueError(f"{name} must be at least 1")
         if self.lr_max < 0 or self.lr_final < 0:
             raise ValueError("learning rates must be nonnegative")
+        if self.balance_coeff < 0:
+            raise ValueError("balance_coeff must be nonnegative")
         if self.lr_final > self.lr_max:
             raise ValueError("lr_final must not exceed lr_max")
         if not 0 <= self.warmup_steps <= self.total_steps:
@@ -102,17 +104,6 @@ def lr_at(step: int, cfg: TrainConfig) -> float:
     return cfg.lr_final + (cfg.lr_max - cfg.lr_final) * 0.5 * (1.0 + math.cos(math.pi * t))
 
 
-@dataclass
-class LayerGrads:
-    """Gradient buffers shaped like the layer's trainable parameters."""
-
-    w_up: list[np.ndarray]
-    w_gate: list[np.ndarray]
-    w_down: list[np.ndarray]
-    gate_w_g: np.ndarray
-    residual: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
-
-
 def batch_loss_and_grads(
     layer: MoeLayer,
     teacher: DenseFfn,
@@ -120,10 +111,11 @@ def batch_loss_and_grads(
     balance_coeff: float,
     *,
     target: np.ndarray | None = None,
-) -> tuple[float, LayerGrads, dict]:
-    """Exact loss and analytic gradients for one batch. The gate's noise
-    must be off: `route` refuses a noisy gate without an rng. `target`, the
-    teacher's (B, d) output on `xs`, is computed here when not given.
+) -> tuple[float, list[np.ndarray], dict]:
+    """Exact loss and analytic gradients for one batch, the gradients in
+    the order of `layer.parameters()`. The gate's noise must be off: `route`
+    refuses a noisy gate without an rng. `target`, the teacher's (B, d)
+    output on `xs`, is computed here when not given.
 
     `xs` is a list of (d,) inputs or a (B, d) array. Tokens are grouped by
     selected expert, so each expert runs one forward and one backward over
@@ -146,11 +138,10 @@ def batch_loss_and_grads(
     dgate_sel = np.zeros_like(g)
     for ex, (rows, pos, out, cache) in zip(layer.experts, groups):
         de = (g[rows, pos] * scale)[:, None] * dldy[rows]
-        expert_grads.append(swiglu_backward(x[rows], de, ex.w_down, cache))
+        expert_grads += swiglu_backward(x[rows], de, ex.w_down, cache)
         dgate_sel[rows, pos] = scale * np.einsum("bd,bd->b", dldy[rows], out)
-    residual = None
     if res_cache is not None:
-        residual = swiglu_backward(x, dldy, layer.residual_expert.w_down, res_cache)
+        expert_grads += swiglu_backward(x, dldy, layer.residual_expert.w_down, res_cache)
 
     # softmax over the selected logits; selection is straight-through
     dz = np.zeros((batch, n))
@@ -167,9 +158,6 @@ def batch_loss_and_grads(
         q = balance_coeff * (2.0 / n) * (importance - mu) / mu**2
         dz += probs * (q - (probs @ q)[:, None])
 
-    w_up, w_gate, w_down = (list(t) for t in zip(*expert_grads))
-    grads = LayerGrads(w_up, w_gate, w_down, gate_w_g=x.T @ dz, residual=residual)
-
     total = mse + balance_coeff * (imp_loss + load_loss)
     share = counts[counts > 0] / counts.sum()
     stats = {
@@ -181,18 +169,12 @@ def batch_loss_and_grads(
         "counts": counts,
         "routing_entropy": float(-(share * np.log(share)).sum()),
     }
-    return total, grads, stats
+    return total, [x.T @ dz] + expert_grads, stats
 
 
-def _apply_sgd(layer: MoeLayer, grads: LayerGrads, lr: float) -> None:
+def _apply_sgd(layer: MoeLayer, grads: list[np.ndarray], lr: float) -> None:
     """In-place step on every trainable array."""
-    pairs = [(layer.gate.w_g, grads.gate_w_g)]
-    for ex, *ex_grads in zip(layer.experts, grads.w_up, grads.w_gate, grads.w_down):
-        pairs += zip((ex.w_up, ex.w_gate, ex.w_down), ex_grads)
-    if grads.residual is not None:
-        r = layer.residual_expert
-        pairs += zip((r.w_up, r.w_gate, r.w_down), grads.residual)
-    for w, g in pairs:
+    for w, g in zip(layer.parameters(), grads):
         w -= lr * g
 
 

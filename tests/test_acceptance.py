@@ -135,15 +135,7 @@ def test_criterion_5_gradient_oracle():
         data = [rng.normal_array((3,)) for _ in range(4)]
 
         _, grads, _ = batch_loss_and_grads(layer, teacher, data, 0.01)
-        param_arrays = []
-        grad_arrays = []
-        for i, ex in enumerate(layer.experts):
-            param_arrays += [ex.w_up, ex.w_gate, ex.w_down]
-            grad_arrays += [grads.w_up[i], grads.w_gate[i], grads.w_down[i]]
-        param_arrays.append(layer.gate.w_g)
-        grad_arrays.append(grads.gate_w_g)
-
-        for arr, g in zip(param_arrays, grad_arrays):
+        for arr, g in zip(layer.parameters(), grads):
             flat, gflat = arr.ravel(), g.ravel()
             for idx in range(flat.size):
                 orig = flat[idx]

@@ -51,7 +51,8 @@ def oracle_moe_forward(layer, x):
 
 
 def oracle_loss_and_grads(layer, teacher, xs, balance_coeff):
-    """Per-token loss and gradients: (total, flat grad list, topks, weights)."""
+    """Per-token loss and gradients: (total, flat grad list, topks, weights).
+    The list is gate first, then each expert's and the residual's three."""
     n, scale, batch = layer.n_experts, layer.scale_factor, len(xs)
     g_up = [np.zeros_like(e.w_up) for e in layer.experts]
     g_gate = [np.zeros_like(e.w_gate) for e in layer.experts]
@@ -119,16 +120,9 @@ def oracle_loss_and_grads(layer, teacher, xs, balance_coeff):
         for x, p in zip(xs, probs):
             g_wg += np.outer(x, p * (q - float(q @ p)))
 
-    flat = [w for i in range(n) for w in (g_up[i], g_gate[i], g_down[i])] + [g_wg]
+    flat = [g_wg] + [w for i in range(n) for w in (g_up[i], g_gate[i], g_down[i])]
     flat += g_res or []
     return total, flat, np.array(topks), np.array(weights)
-
-
-def flat_grads(grads):
-    out = [w for i in range(len(grads.w_up))
-           for w in (grads.w_up[i], grads.w_gate[i], grads.w_down[i])]
-    out.append(grads.gate_w_g)
-    return out + list(grads.residual or [])
 
 
 def assert_close(actual, expected):
@@ -185,9 +179,8 @@ def test_batch_loss_and_grads_matches_per_token_oracle(case):
         layer, teacher, xs, coeff
     )
     assert abs(total - ref_total) <= RTOL * abs(ref_total)
-    got = flat_grads(grads)
-    assert len(got) == len(ref_grads)
-    for actual, expected in zip(got, ref_grads):
+    assert len(grads) == len(ref_grads)
+    for actual, expected in zip(grads, ref_grads):
         assert_close(actual, expected)
     assert np.array_equal(stats["experts"], ref_top)
     assert_close(stats["weights"], ref_weights)
@@ -218,7 +211,8 @@ def test_some_expert_gets_no_tokens():
     empty = np.flatnonzero(stats["counts"] == 0)
     assert empty.size > 0
     for i in empty:
-        assert not grads.w_up[i].any() and not grads.w_down[i].any()
+        d_up, _, d_down = grads[1 + 3 * i:4 + 3 * i]  # gate first, three per expert
+        assert not d_up.any() and not d_down.any()
 
 
 @pytest.mark.parametrize("case", sorted(CASES))

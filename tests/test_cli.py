@@ -391,6 +391,7 @@ class TestTrain:
             {"num_samples": True},
             {"lr_max": float("nan")},
             {"balance_coeff": float("inf")},
+            {"balance_coeff": -0.01},
         ],
     )
     def test_bad_config_exits_data_error(self, teacher_file, tmp_path, overrides):
@@ -480,6 +481,19 @@ class TestSchedule:
         lines = open(out).read().splitlines()
         weight_cols = {line.split(",", 2)[2] for line in lines[1:]}
         assert len(weight_cols) == 2  # reweighted after the first interval
+
+        # an excess loss past exp's overflow (about 709.8) still reweights
+        json.dump([[1000.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0]], open(obs_path, "w"))
+        assert run(
+            ["schedule", "--preset", "uniform", "--mode", "dynamic",
+             "--draws", "5", "--interval", "1", "--seed", "3",
+             "--reference-loss", ref_path, "--observed-loss", obs_path,
+             "--out", out]
+        ) == EXIT_OK
+        rows = [line.split(",")[2:] for line in open(out).read().splitlines()[1:]]
+        assert len(rows) == 5
+        for row in rows:
+            assert abs(sum(map(float, row)) - 1.0) <= 1e-12
 
     def test_negative_draws_usage_error(self, tmp_path):
         out = str(tmp_path / "neg.csv")

@@ -124,6 +124,21 @@ class TestDynamicUpdate:
         assert abs(updated.current.weights[0] - 2.0 / 3.0) <= 1e-12
         assert abs(updated.current.weights[1] - 1.0 / 3.0) <= 1e-12
 
+    def test_large_excess_stays_finite(self):
+        # exp(1000) overflows; the shift by the largest excess cancels out
+        w = DomainWeights(domains=("a", "b"), weights=np.array([0.5, 0.5]))
+        updated = dynamic_update(self.make_dynamic(w, [0.0, 0.0]), np.array([1000.0, 1001.0]))
+        ws = updated.current.weights
+        assert np.all(np.isfinite(ws)) and abs(ws.sum() - 1.0) <= 1e-12
+        assert ws[1] > ws[0]
+        assert abs(ws[1] - np.e / (1.0 + np.e)) <= 1e-12
+
+    def test_unweighted_domain_does_not_set_the_shift(self):
+        # a domain of reference weight 0 keeps weight 0 whatever its excess
+        w = DomainWeights(domains=("a", "b"), weights=np.array([0.0, 1.0]))
+        updated = dynamic_update(self.make_dynamic(w, [0.0, 0.0]), np.array([1000.0, 1.0]))
+        assert updated.current.weights.tolist() == [0.0, 1.0]
+
     def test_negative_excess_clamped(self):
         w = DomainWeights.uniform()
         state = self.make_dynamic(w, np.full(7, 2.0))
