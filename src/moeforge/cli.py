@@ -38,21 +38,26 @@ EXIT_DIVERGENCE = 4
 
 # ---------------------------------------------------------------- commands
 
-def _json(path: str, kind: type, message: str):
-    """The JSON document in `path`; ValueError(message) unless it is a `kind`."""
+def _json(path: str, kind: type, message: str, parse_int=float):
+    """The JSON document in `path`, its integers read by `parse_int` (as
+    floats by default, so one too large for a float reads as inf);
+    ValueError(message) unless it is a `kind`."""
     with open(path) as f:
-        doc = json.load(f)
+        doc = json.load(f, parse_int=parse_int)
     if not isinstance(doc, kind):
         raise ValueError(message)
     return doc
 
 
-def _losses(values, what: str) -> np.ndarray:
-    """JSON loss values as a float64 array; a non-number is a data error."""
-    try:
-        return np.asarray(values, dtype=np.float64)
-    except TypeError as err:
-        raise ValueError(f"{what} must hold numbers: {err}") from err
+def _losses(rows: list, flag: str, n: int) -> list[np.ndarray]:
+    """Rows of n finite losses as float64 arrays; anything else (a bool, a
+    string, a row of another length) is a data error that names `flag`."""
+    for i, row in enumerate(rows, start=1):
+        if not isinstance(row, list) or len(row) != n:
+            raise ValueError(f"{flag} row {i} must be a list with one entry per domain")
+        if bad := [v for v in row if not (isinstance(v, float) and np.isfinite(v))]:
+            raise ValueError(f"{flag} must hold finite numbers, got {bad[0]!r}")
+    return [np.array(row) for row in rows]
 
 
 def cmd_split(args) -> int:
@@ -85,7 +90,7 @@ def cmd_split(args) -> int:
 def cmd_train(args) -> int:
     teacher = read_ffn(args.teacher)
     layer = read_layer(args.layer, teacher.d_h)
-    doc = _json(args.config, dict, "train config must be a JSON object")
+    doc = _json(args.config, dict, "train config must be a JSON object", parse_int=int)
     unknown = sorted(set(doc) - {f.name for f in fields(TrainConfig)})
     if unknown:
         raise ValueError(f"unknown train config keys: {', '.join(unknown)}")
@@ -110,16 +115,16 @@ def cmd_train(args) -> int:
 def cmd_schedule(args) -> int:
     weights = load_preset(args.preset)
     mode = SamplerMode(args.mode)
-    reference_loss = np.zeros(len(weights.domains))
-    observed_seq: list[np.ndarray] = []
+    n = len(weights.domains)
+    reference_loss, observed_seq = np.zeros(n), []
     if args.reference_loss:
         doc = _json(args.reference_loss, dict, "--reference-loss must be a JSON {domain: loss}")
         if missing := [d for d in weights.domains if d not in doc]:
             raise ValueError(f"--reference-loss has no loss for domain {missing[0]!r}")
-        reference_loss = _losses([doc[d] for d in weights.domains], "--reference-loss")
+        [reference_loss] = _losses([[doc[d] for d in weights.domains]], "--reference-loss", n)
     if args.observed_loss:
         seq = _json(args.observed_loss, list, "--observed-loss must be a JSON list of loss rows")
-        observed_seq = [_losses(row, "--observed-loss") for row in seq]
+        observed_seq = _losses(seq, "--observed-loss", n)
 
     state = SamplerState(
         current=weights,

@@ -42,15 +42,6 @@ class GateNetwork:
         return self.w_g.shape[1]
 
 
-@dataclass(frozen=True)
-class TokenRouting:
-    """A batch's routing: each row's selected experts in ascending order
-    (`experts`, (B, k)) and their gate weights (`weights`, (B, k))."""
-
-    experts: np.ndarray
-    weights: np.ndarray
-
-
 def route(
     gate: GateNetwork, x: np.ndarray, rng: Rng | None = None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -150,16 +141,15 @@ def dispatch(
     return y, groups, res_cache
 
 
-def moe_forward(
-    layer: MoeLayer, x: np.ndarray, rng: Rng | None = None
-) -> tuple[np.ndarray, TokenRouting]:
-    """Y (B, d) for a batch X (B, d), validating it: row b is
-    sum_{i in topk} G(x)_i * (N/k) * E_i(x) for x = X[b], plus the ungated,
-    unscaled residual expert when present. The routing holds (B, k) arrays."""
+def moe_forward(layer: MoeLayer, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Y (B, d) for a batch X (B, d), validating it, and its routing as
+    `route` gives it: the top-k set (B, k) and its weights (B, k). Row b of
+    Y is sum_{i in topk} G(x)_i * (N/k) * E_i(x) for x = X[b], plus the
+    ungated, unscaled residual expert when present."""
     xs = as_matrix(x, cols=layer.d)
-    _, top, g = route(layer.gate, xs, rng)
+    _, top, g = route(layer.gate, xs)
     y, _, _ = dispatch(layer, xs, top, g)
-    return y, TokenRouting(experts=top, weights=g)
+    return y, top, g
 
 
 def cv_squared(values: np.ndarray) -> float:

@@ -27,46 +27,20 @@ _PLAIN_PIECE = 1 << 20
 MAX_COUNTS = 1 << 24
 
 
-@dataclass(frozen=True)
-class RoutingRecord:
-    """One expert selection: token `token_id` from `domain` was routed to
-    `expert` at `layer` with the given gate weight."""
-
-    token_id: int
-    domain: str
-    layer: int
-    expert: int
-    weight: float
-
-
 @dataclass(frozen=True, eq=False)
 class RoutingColumns:
     """Routing records column by column, as counting reads them: integer
     token ids, layers and experts (int64, or Python ints where one does not
-    fit) and each record's domain code: its index in the reader's domains,
-    or -1 for a label not among them, the first of which is `unknown`. Gate
-    weights are not counted, so not kept."""
+    fit) and each record's domain code, its index in the reader's domains.
+    Gate weights are not counted, so not kept."""
 
     token_id: np.ndarray
     code: np.ndarray
     layer: np.ndarray
     expert: np.ndarray
-    unknown: str | None = None
 
     def __len__(self) -> int:
         return len(self.code)
-
-    @staticmethod
-    def from_records(records, domains: tuple[str, ...]) -> "RoutingColumns":
-        index = {d: i for i, d in enumerate(domains)}
-        rows = [(r.token_id, index.get(r.domain, -1), r.layer, r.expert, r.domain)
-                for r in records]
-        token_id, code, layer, expert, domain = zip(*rows) if rows else ((),) * 5
-        unknown = next((d for d, c in zip(domain, code) if c < 0), None)
-        return RoutingColumns(
-            _int_column(token_id), np.array(code, dtype=np.intp),
-            _int_column(layer), _int_column(expert), unknown,
-        )
 
 
 def _int_column(values) -> np.ndarray:
@@ -93,18 +67,17 @@ class RoutingStats:
 
 
 def collect_routing(
-    records,
+    records: RoutingColumns,
     n_layers: int,
     n_experts: int,
     domains: tuple[str, ...],
 ) -> RoutingStats:
-    """Exact counts over RoutingRecords, or over RoutingColumns as they
-    are; order-independent.
+    """Exact counts over routing columns; order-independent.
 
     Selections are one bincount over the flat (layer, expert, domain) index;
     tokens per domain are the distinct (domain, token) pairs. A bad record
     raises as a loop over the records would: the first one in order, its
-    layer checked first, then its expert, then its domain label. A table
+    layer checked first, then its expert, then its domain code. A table
     of more than MAX_COUNTS counts is refused before anything is allocated.
     """
     if n_layers * n_experts * len(domains) > MAX_COUNTS:
@@ -112,21 +85,19 @@ def collect_routing(
             f"count table of {n_layers} layers x {n_experts} experts x "
             f"{len(domains)} domains exceeds {MAX_COUNTS} counts"
         )
-    if not isinstance(records, RoutingColumns):
-        records = RoutingColumns.from_records(records, domains)
-    token_id, code = records.token_id, records.code
-    layer, expert = records.layer, records.expert
+    token_id, code, layer, expert = records.token_id, records.code, records.layer, records.expert
     counts = np.zeros((n_layers, n_experts, len(domains)), dtype=np.int64)
     bad_layer = ~((layer >= 0) & (layer < n_layers))
     bad_expert = ~((expert >= 0) & (expert < n_experts))
-    bad = np.flatnonzero(bad_layer | bad_expert | (code < 0))
+    bad_code = ~((code >= 0) & (code < len(domains)))
+    bad = np.flatnonzero(bad_layer | bad_expert | bad_code)
     if len(bad):
         i = bad[0]
         if bad_layer[i]:
             raise ValueError(f"layer {layer[i]} out of range [0, {n_layers})")
         if bad_expert[i]:
             raise ValueError(f"expert {expert[i]} out of range [0, {n_experts})")
-        raise ValueError(f"unknown domain label {records.unknown!r}")
+        raise ValueError(f"domain code {code[i]} out of range [0, {len(domains)})")
     flat = (layer.astype(np.intp) * n_experts + expert.astype(np.intp)) * len(domains) + code
     counts += np.bincount(flat, minlength=counts.size).reshape(counts.shape)
 
@@ -139,15 +110,14 @@ def collect_routing(
     return RoutingStats(counts=counts, domains=domains, tokens_per_domain=tokens)
 
 
-def parse_routing_csv(path: str, domains: tuple[str, ...]) -> list[RoutingRecord]:
-    """One RoutingRecord per non-blank line of a routing CSV; a bad line
-    raises with its line number."""
-    records = []
+def parse_routing_csv(path: str, domains: tuple[str, ...]) -> RoutingColumns:
+    """The columns of a routing CSV, one non-blank line at a time; a bad
+    line raises with its line number."""
+    index = {d: i for i, d in enumerate(domains)}  # the last of a repeated domain wins
+    rows = []
     with open(path) as f:
         lines = f.read().splitlines()
-    if not lines:
-        return records
-    if lines[0].split(",") != ROUTING_HEADER:
+    if lines and lines[0].split(",") != ROUTING_HEADER:
         raise ValueError(f"line 1: expected header {','.join(ROUTING_HEADER)}")
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
@@ -156,32 +126,26 @@ def parse_routing_csv(path: str, domains: tuple[str, ...]) -> list[RoutingRecord
         if len(parts) != 5:
             raise ValueError(f"line {lineno}: expected 5 fields, got {len(parts)}")
         try:
-            records.append(
-                RoutingRecord(
-                    token_id=int(parts[0]),
-                    domain=parts[1],
-                    layer=int(parts[2]),
-                    expert=int(parts[3]),
-                    weight=float(parts[4]),
-                )
-            )
+            row = (int(parts[0]), index.get(parts[1]), int(parts[2]), int(parts[3]))
+            float(parts[4])  # weights are only checked
         except ValueError as err:
             raise ValueError(f"line {lineno}: {err}") from err
-        if parts[1] not in domains:
+        if row[1] is None:
             raise ValueError(f"line {lineno}: unknown domain label {parts[1]!r}")
-    return records
+        rows.append(row)
+    token_id, code, layer, expert = zip(*rows) if rows else ((),) * 4
+    return RoutingColumns(_int_column(token_id), np.array(code, dtype=np.intp),
+                          _int_column(layer), _int_column(expert))
 
 
 def read_routing_csv(path: str, domains: tuple[str, ...]) -> RoutingColumns:
     """The records of a routing CSV, column by column: a plain file by one
     np.loadtxt call. Any other file, or one loadtxt does not take whole (a
     bad field, an integer beyond int64, an unknown domain, ...), goes
-    through parse_routing_csv, which gives the same records or raises with
+    through parse_routing_csv, which gives the same columns or raises with
     a line number."""
     columns = _read_plain(path, domains) if _is_plain(path) else None
-    if columns is None:
-        columns = RoutingColumns.from_records(parse_routing_csv(path, domains), domains)
-    return columns
+    return parse_routing_csv(path, domains) if columns is None else columns
 
 
 def _read_plain(path: str, domains: tuple[str, ...]) -> RoutingColumns | None:

@@ -186,7 +186,7 @@ def distill_mse(layer: MoeLayer, teacher: DenseFfn, xs) -> float:
     total = 0.0
     with np.errstate(over="ignore", invalid="ignore"):  # a diverged layer gives nan
         for chunk in row_chunks(x):
-            y, _ = moe_forward(layer, chunk)
+            y, _, _ = moe_forward(layer, chunk)
             t, _ = ffn_forward(teacher, chunk)
             total += 0.5 * float(np.einsum("bd,bd->", y - t, y - t))
     return total / len(x)

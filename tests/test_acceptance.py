@@ -20,7 +20,7 @@ from moeforge.partition import (
     split_sharing_inner,
     split_sharing_inter,
 )
-from moeforge.routing import RoutingRecord, collect_routing, routing_l2_matrix
+from moeforge.routing import RoutingColumns, collect_routing, routing_l2_matrix
 from moeforge.sampler import (
     DomainWeights,
     SamplerMode,
@@ -236,6 +236,14 @@ def test_criterion_8_sampler():
 
 def test_criterion_9_routing_analysis():
     domains = ("alpha", "beta")
+
+    def columns(records):
+        """RoutingColumns of (token_id, domain, layer, expert) records."""
+        token_id, domain, layer, expert = zip(*records)
+        code = [domains.index(d) for d in domain]
+        return RoutingColumns(*(np.array(c, dtype=np.int64)
+                                for c in (token_id, code, layer, expert)))
+
     # fuzzed conservation: each token contributes exactly k records per layer
     for seed in range(20):
         rng = Rng(seed)
@@ -246,8 +254,8 @@ def test_criterion_9_routing_analysis():
             dom = domains[rng.next_below(2)]
             for layer in range(2):
                 for e in sorted(rng.shuffle(list(range(n_experts)))[:k]):
-                    records.append(RoutingRecord(t, dom, layer, e, 1.0 / k))
-        stats = collect_routing(records, 2, n_experts, domains)
+                    records.append((t, dom, layer, e))
+        stats = collect_routing(columns(records), 2, n_experts, domains)
         for layer in range(2):
             for d in range(2):
                 assert (
@@ -255,13 +263,13 @@ def test_criterion_9_routing_analysis():
                     == k * stats.tokens_per_domain[d]
                 )
 
-    identical = [RoutingRecord(t, d, 0, t % 3, 1.0) for d in domains for t in range(9)]
-    stats = collect_routing(identical, 1, 3, domains)
+    identical = [(t, d, 0, t % 3) for d in domains for t in range(9)]
+    stats = collect_routing(columns(identical), 1, 3, domains)
     assert routing_l2_matrix(stats, 0)[0, 1] <= 1e-12
 
-    disjoint = [RoutingRecord(t, "alpha", 0, 0, 1.0) for t in range(5)]
-    disjoint += [RoutingRecord(t, "beta", 0, 1, 1.0) for t in range(5)]
-    stats = collect_routing(disjoint, 1, 2, domains)
+    disjoint = [(t, "alpha", 0, 0) for t in range(5)]
+    disjoint += [(t, "beta", 0, 1) for t in range(5)]
+    stats = collect_routing(columns(disjoint), 1, 2, domains)
     assert abs(routing_l2_matrix(stats, 0)[0, 1] - np.sqrt(2.0)) <= 1e-12
     report(9, "column-sum conservation and L2 distances 0 / sqrt(2)")
 

@@ -513,24 +513,38 @@ class TestSchedule:
 
     REFERENCE = json.dumps({d: 2.0 for d in DEFAULT_DOMAINS})
 
-    @pytest.mark.parametrize("flag,reference,observed", [
-        ("--reference-loss", "[2, 2, 2, 2, 2, 2, 2]", "[]"),
-        ("--reference-loss", REFERENCE.replace("2.0", "{}", 1), "[]"),
-        ("--observed-loss", REFERENCE, '[{"C4": 3.0}]'),
-        ("--observed-loss", REFERENCE, "3.0"),
+    HUGE = "1" + "0" * 400  # an integer too large for a float
+
+    @pytest.mark.parametrize("flag,reference,observed,options", [
+        ("--reference-loss", "[2, 2, 2, 2, 2, 2, 2]", "[]", []),
+        ("--reference-loss", REFERENCE.replace("2.0", "{}", 1), "[]", []),
+        ("--observed-loss", REFERENCE, '[{"C4": 3.0}]', []),
+        ("--observed-loss", REFERENCE, "3.0", []),
         ("--reference-loss has no loss for domain 'CommonCrawl'",
-         json.dumps({d: 2.0 for d in DEFAULT_DOMAINS[1:]}), "[]"),
+         json.dumps({d: 2.0 for d in DEFAULT_DOMAINS[1:]}), "[]", []),
+        ("--reference-loss", REFERENCE.replace("2.0", '"1"', 1), "[]", []),
+        ("--reference-loss", REFERENCE.replace("2.0", "true", 1), "[]", []),
+        ("--reference-loss", REFERENCE.replace("2.0", "NaN", 1), "[]", []),
+        ("--reference-loss", REFERENCE.replace("2.0", "Infinity", 1), "[]", []),
+        ("--reference-loss", REFERENCE.replace("2.0", HUGE, 1), "[]", []),
+        ("--observed-loss", REFERENCE, "[[true, 1, 1, 1, 1, 1, 1]]", []),
+        ("--observed-loss", REFERENCE, f"[[{HUGE}, 1, 1, 1, 1, 1, 1]]", []),
+        # no update falls within 50 draws, and the short row is still refused
+        ("--observed-loss", REFERENCE, "[[1, 2]]", ["--draws", "50"]),
+        ("--reference-loss", REFERENCE.replace("2.0", "NaN", 1), "[]", ["--mode", "static"]),
     ], ids=["reference-list", "reference-object-value", "observed-object-row", "observed-number",
-            "reference-missing-domain"])
+            "reference-missing-domain", "reference-string", "reference-bool", "reference-nan",
+            "reference-infinity", "reference-huge-integer", "observed-bool",
+            "observed-huge-integer", "observed-short-row-before-update", "static-reference-nan"])
     def test_malformed_loss_json_exits_data_error(
-        self, tmp_path, capsys, flag, reference, observed
+        self, tmp_path, capsys, flag, reference, observed, options
     ):
         (tmp_path / "ref.json").write_text(reference)
         (tmp_path / "obs.json").write_text(observed)
         out = tmp_path / "dyn.csv"
         code = run(["schedule", "--preset", "uniform", "--mode", "dynamic",
                     "--reference-loss", str(tmp_path / "ref.json"),
-                    "--observed-loss", str(tmp_path / "obs.json"), "--out", str(out)])
+                    "--observed-loss", str(tmp_path / "obs.json"), *options, "--out", str(out)])
         assert code == EXIT_DATA
         assert flag in capsys.readouterr().err
         assert not out.exists()

@@ -3,9 +3,9 @@
 `schedule` draws each run of domains between two dynamic updates as one
 block (`Rng.choice_weighted(weights, count)`); `analyze` parses the routing
 CSV column by column and counts with one bincount. The oracles below are
-the per-draw `cmd_schedule` loop, and the per-line parser (the column
-reader's fallback) plus the record loop that counted before: outputs, exit
-codes and messages must be identical.
+the per-draw `cmd_schedule` loop, and the record-based per-line parser that
+the column reader's fallback replaced (kept here as it was) plus the record
+loop that counted before: outputs, exit codes and messages must be identical.
 """
 
 import contextlib
@@ -15,6 +15,7 @@ import os
 import tempfile
 import tracemalloc
 import warnings
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -22,13 +23,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from moeforge import cli, routing
-from moeforge.routing import (
-    RoutingColumns,
-    RoutingRecord,
-    RoutingStats,
-    parse_routing_csv,
-    read_routing_csv,
-)
+from moeforge.routing import ROUTING_HEADER, RoutingColumns, RoutingStats, read_routing_csv
 from moeforge.sampler import (
     DEFAULT_DOMAINS,
     SamplerMode,
@@ -162,6 +157,9 @@ def schedule_oracle(args) -> int:
     if args.observed_loss:
         with open(args.observed_loss) as f:
             seq = json.load(f)
+        for i, row in enumerate(seq, start=1):  # every row is checked before the first draw
+            if len(row) != len(weights.domains):
+                raise ValueError(f"--observed-loss row {i} must be a list with one entry per domain")
         observed_seq = [np.asarray(row, dtype=np.float64) for row in seq]
 
     state = SamplerState(
@@ -273,7 +271,8 @@ def test_zero_interval_error_identical(tmp_path, loss_files):
 
 
 def test_wrong_length_observed_row_error_identical(tmp_path, loss_files):
-    # the fourth update meets the short row: no partial file is left
+    # the fourth row is short: it is refused before the first draw, and no
+    # partial file is left
     obs_path = loss_files[3]
     with open(obs_path) as f:
         rows = json.load(f)
@@ -286,39 +285,103 @@ def test_wrong_length_observed_row_error_identical(tmp_path, loss_files):
 
 # ---------------------------------------------------------------- analyze
 
-def collect_oracle(records, n_layers, n_experts, domains):
-    """The record loop that `collect_routing` replaced, under the program's
-    rule that a table of more than MAX_COUNTS counts is refused unallocated."""
+@dataclass(frozen=True)
+class RoutingRecord:
+    """One expert selection: token `token_id` from `domain` was routed to
+    `expert` at `layer` with the given gate weight."""
+
+    token_id: int
+    domain: str
+    layer: int
+    expert: int
+    weight: float
+
+
+def parse_routing_oracle(path: str, domains: tuple[str, ...]) -> list[RoutingRecord]:
+    """One RoutingRecord per non-blank line of a routing CSV; a bad line
+    raises with its line number."""
+    records = []
+    with open(path) as f:
+        lines = f.read().splitlines()
+    if not lines:
+        return records
+    if lines[0].split(",") != ROUTING_HEADER:
+        raise ValueError(f"line 1: expected header {','.join(ROUTING_HEADER)}")
+    for lineno, line in enumerate(lines[1:], start=2):
+        if not line.strip():
+            continue
+        parts = line.split(",")
+        if len(parts) != 5:
+            raise ValueError(f"line {lineno}: expected 5 fields, got {len(parts)}")
+        try:
+            records.append(
+                RoutingRecord(
+                    token_id=int(parts[0]),
+                    domain=parts[1],
+                    layer=int(parts[2]),
+                    expert=int(parts[3]),
+                    weight=float(parts[4]),
+                )
+            )
+        except ValueError as err:
+            raise ValueError(f"line {lineno}: {err}") from err
+        if parts[1] not in domains:
+            raise ValueError(f"line {lineno}: unknown domain label {parts[1]!r}")
+    return records
+
+
+def oracle_rows(records, domains):
+    """(token_id, domain code, layer, expert) of each RoutingRecord; the
+    last of a repeated domain wins."""
+    index = {d: i for i, d in enumerate(domains)}
+    return [(r.token_id, index[r.domain], r.layer, r.expert) for r in records]
+
+
+def int_column(values):
+    """Integers as int64, or as Python ints if some do not fit int64."""
+    try:
+        return np.asarray(values, dtype=np.int64)
+    except OverflowError:
+        return np.array(values, dtype=object)
+
+
+def oracle_columns(rows):
+    """RoutingColumns of (token_id, domain code, layer, expert) rows."""
+    token_id, code, layer, expert = zip(*rows) if rows else ((),) * 4
+    return RoutingColumns(int_column(token_id), np.array(code, dtype=np.intp),
+                          int_column(layer), int_column(expert))
+
+
+def collect_oracle(rows, n_layers, n_experts, domains):
+    """The record loop that `collect_routing` replaced, over (token_id,
+    domain code, layer, expert) rows, under the program's rule that a table
+    of more than MAX_COUNTS counts is refused unallocated."""
     if n_layers * n_experts * len(domains) > routing.MAX_COUNTS:
         raise ValueError(
             f"count table of {n_layers} layers x {n_experts} experts x "
             f"{len(domains)} domains exceeds {routing.MAX_COUNTS} counts"
         )
-    dom_index = {d: i for i, d in enumerate(domains)}
     counts = np.zeros((n_layers, n_experts, len(domains)), dtype=np.int64)
     token_ids = [set() for _ in domains]
-    for r in records:
-        if not (0 <= r.layer < n_layers):
-            raise ValueError(f"layer {r.layer} out of range [0, {n_layers})")
-        if not (0 <= r.expert < n_experts):
-            raise ValueError(f"expert {r.expert} out of range [0, {n_experts})")
-        if r.domain not in dom_index:
-            raise ValueError(f"unknown domain label {r.domain!r}")
-        d = dom_index[r.domain]
-        counts[r.layer, r.expert, d] += 1
-        token_ids[d].add(r.token_id)
+    for token_id, code, layer, expert in rows:
+        if not (0 <= layer < n_layers):
+            raise ValueError(f"layer {layer} out of range [0, {n_layers})")
+        if not (0 <= expert < n_experts):
+            raise ValueError(f"expert {expert} out of range [0, {n_experts})")
+        if not (0 <= code < len(domains)):
+            raise ValueError(f"domain code {code} out of range [0, {len(domains)})")
+        counts[layer, expert, code] += 1
+        token_ids[code].add(token_id)
     tokens = np.array([len(s) for s in token_ids], dtype=np.int64)
     return RoutingStats(counts=counts, domains=domains, tokens_per_domain=tokens)
 
 
 records_strategy = st.lists(
-    st.builds(
-        RoutingRecord,
-        token_id=st.one_of(st.integers(0, 6), st.sampled_from([-1, 2**63, 2**70])),
-        domain=st.sampled_from(["alpha", "beta", "gamma", "alpha", "delta"]),
-        layer=st.one_of(st.integers(0, 2), st.integers(0, 2), st.sampled_from([-1, 3, 2**64])),
-        expert=st.one_of(st.integers(0, 3), st.integers(0, 3), st.sampled_from([-2, 4])),
-        weight=st.just(0.5),
+    st.tuples(
+        st.one_of(st.integers(0, 6), st.sampled_from([-1, 2**63, 2**70])),
+        st.sampled_from([0, 1, 2, 0, 3, -1]),
+        st.one_of(st.integers(0, 2), st.integers(0, 2), st.sampled_from([-1, 3, 2**64])),
+        st.one_of(st.integers(0, 3), st.integers(0, 3), st.sampled_from([-2, 4])),
     ),
     max_size=30,
 )
@@ -331,9 +394,10 @@ def test_collect_matches_record_loop(records):
     # kind of bad record: the same counts, or the same first error
     domains = ("alpha", "beta", "gamma")
     results = []
-    for collect in (cli.collect_routing, collect_oracle):
+    for collect, given_records in ((cli.collect_routing, oracle_columns(records)),
+                                   (collect_oracle, records)):
         try:
-            stats = collect(records, 3, 4, domains)
+            stats = collect(given_records, 3, 4, domains)
             results.append((stats.counts.tolist(), stats.tokens_per_domain.tolist(),
                             stats.counts.dtype, stats.tokens_per_domain.dtype))
         except ValueError as err:
@@ -344,14 +408,14 @@ def test_collect_matches_record_loop(records):
 def analyze_oracle(args) -> int:
     """The per-line `cmd_analyze`: a RoutingRecord per line, counted one by one."""
     domains = args.domains or DEFAULT_DOMAINS
-    records = parse_routing_csv(args.routing, domains)
+    records = parse_routing_oracle(args.routing, domains)
     os.makedirs(args.out, exist_ok=True)
     if not records:
         print("no records; nothing to write")
         return cli.EXIT_OK
     n_layers = max(max(r.layer for r in records), 0) + 1
     n_experts = args.experts if args.experts else max(max(r.expert for r in records), 0) + 1
-    stats = collect_oracle(records, n_layers, n_experts, domains)
+    stats = collect_oracle(oracle_rows(records, domains), n_layers, n_experts, domains)
     for layer in range(n_layers):
         with open(os.path.join(args.out, f"heatmap_layer{layer}.csv"), "w") as f:
             f.write(cli.heatmap_csv(stats, layer))
@@ -369,19 +433,24 @@ def tree(path):
 
 
 def assert_analyze_matches(text: str, options: list[str]):
+    """`analyze` as it reads the file, and with every file sent to the
+    per-line fallback, against the oracle."""
     with tempfile.TemporaryDirectory() as d:
         path = os.path.join(d, "routing.csv")
         with open(path, "w", encoding="utf-8", newline="") as f:
             f.write(text)
         results = []
-        for tag, oracle in (("bulk", None), ("oracle", analyze_oracle)):
+        for tag, oracle in (("bulk", None), ("fallback", None), ("oracle", analyze_oracle)):
             out = os.path.join(d, tag)
-            code, stdout, stderr = run_cli(
-                ["analyze", "--routing", path, *options, "--out", out],
-                command="cmd_analyze", oracle=oracle,
-            )
+            with pytest.MonkeyPatch.context() as mp:
+                if tag == "fallback":
+                    mp.setattr(routing, "_is_plain", lambda path: False)
+                code, stdout, stderr = run_cli(
+                    ["analyze", "--routing", path, *options, "--out", out],
+                    command="cmd_analyze", oracle=oracle,
+                )
             results.append((code, stdout, stderr, tree(out)))
-    assert results[0] == results[1]
+    assert results[0] == results[1] == results[2]
     return results[0]
 
 
@@ -443,22 +512,23 @@ def test_analyze_chunk_edges_identical():
 
 def read_both(data: bytes, domains=DEFAULT_DOMAINS):
     """Which path `read_routing_csv` takes for a file holding `data`, and
-    its columns or error, which must be those of the per-line parser."""
+    its columns or error, which must be those of the per-line fallback and
+    of the oracle parser."""
     with tempfile.TemporaryDirectory() as d:
         path = os.path.join(d, "routing.csv")
         with open(path, "wb") as f:
             f.write(data)
         results = []
-        for read in (read_routing_csv,
-                     lambda p, ds: RoutingColumns.from_records(parse_routing_csv(p, ds), ds)):
+        for read in (read_routing_csv, routing.parse_routing_csv,
+                     lambda p, ds: oracle_columns(oracle_rows(parse_routing_oracle(p, ds), ds))):
             try:
                 c = read(path, domains)
                 results.append([(a.dtype, a.tolist()) for a in
-                                (c.token_id, c.code, c.layer, c.expert)] + [c.unknown])
+                                (c.token_id, c.code, c.layer, c.expert)])
             except ValueError as err:
                 results.append(str(err))
         taken = routing._is_plain(path) and routing._read_plain(path, domains) is not None
-    assert results[0] == results[1]
+    assert results[0] == results[1] == results[2]
     return ("loadtxt" if taken else "fallback"), results[0]
 
 
@@ -513,6 +583,9 @@ GATE_CASES = {
     "longer than any domain": (["1,StackExchangeXYZ,0,0,0.5"], "fallback"),
     "known label as a prefix": (["1,C4x,0,0,0.5"], "fallback"),
     "empty label": (["1,,0,0,0.5"], "fallback"),
+    # check order: the integers, then the weight, then the label
+    "unknown label and bad int": (["1,Nope,x,0,0.5"], "fallback"),
+    "unknown label and bad weight": (["1,Nope,0,0,heavy"], "fallback"),
     # layout
     "blank lines": (["", "1,C4,0,0,0.5", "", "", "2,arXiv,1,3,0.5", ""], "loadtxt"),
     "short line": (["1,C4,0,0"], "fallback"),

@@ -114,12 +114,12 @@ class TestMoeForward:
     def test_degenerate_single_expert_equals_dense(self):
         ffn, layer = make_layer(4, 8, n=1, k=1, seed=3, gate_init="zeros")
         x = Rng(4).normal_array((3, 4))
-        y, routing = moe_forward(layer, x)
+        y, top, g = moe_forward(layer, x)
         y_dense, _ = ffn_forward(ffn, x)
         assert layer.scale_factor == 1.0
         assert np.abs(y - y_dense).max() < 1e-12
-        assert routing.experts.tolist() == [[0]] * 3
-        assert routing.weights.tolist() == [[1.0]] * 3
+        assert top.tolist() == [[0]] * 3
+        assert g.tolist() == [[1.0]] * 3
 
     def test_zero_propagation(self):
         d, d_h = 3, 6
@@ -130,14 +130,14 @@ class TestMoeForward:
         )
         part = split_independent_random(d_h, 2, Rng(7))
         layer = assemble_moe(ffn, part, k=1)
-        y, _ = moe_forward(layer, Rng(8).normal_array((4, d)))
+        y, _, _ = moe_forward(layer, Rng(8).normal_array((4, d)))
         assert np.array_equal(y, np.zeros((4, d)))
 
     def test_against_naive_oracle(self):
         _, layer = make_layer(5, 12, n=4, k=2, seed=9, gate_init="random")
         for seed in range(5):
             xs = Rng(100 + seed).normal_array((3, 5))
-            y, _ = moe_forward(layer, xs)
+            y, _, _ = moe_forward(layer, xs)
             for b, x in enumerate(xs):
                 assert np.abs(y[b] - naive_moe_output(layer, x)).max() < 1e-12
 
@@ -145,15 +145,15 @@ class TestMoeForward:
         # k == N, gate forced uniform, scale 1: N * y == FFN(x)
         ffn, layer = make_layer(4, 8, n=4, k=4, seed=10, gate_init="zeros")
         x = Rng(11).normal_array((3, 4))
-        y, _ = moe_forward(layer, x)
+        y, _, _ = moe_forward(layer, x)
         y_dense, _ = ffn_forward(ffn, x)
         assert np.abs(4 * y - y_dense).max() <= 1e-9
 
     def test_deterministic_with_noise_off(self):
         _, layer = make_layer(4, 8, n=4, k=2, seed=12)
         x = Rng(13).normal_array((3, 4))
-        y1, _ = moe_forward(layer, x)
-        y2, _ = moe_forward(layer, x)
+        y1, _, _ = moe_forward(layer, x)
+        y2, _, _ = moe_forward(layer, x)
         assert np.array_equal(y1, y2)
 
 
@@ -219,8 +219,7 @@ def call_kernel(name, x):
     if name == "moe_forward":
         layer = assemble_moe(ffn, split_independent_random(8, 4, Rng(31)), k=2,
                              gate_init="random", seed=32)
-        y, routing = moe_forward(layer, x)
-        return y, routing.experts, routing.weights
+        return moe_forward(layer, x)
     rng = Rng(33)
     gate = GateNetwork(w_g=rng.normal_array((4, 4)), w_noise=rng.normal_array((4, 4)),
                        k=2, noise_enabled=True)
