@@ -49,11 +49,6 @@ class DomainWeights:
         object.__setattr__(self, "weights", w)
 
     @staticmethod
-    def uniform() -> "DomainWeights":
-        n = len(DEFAULT_DOMAINS)
-        return DomainWeights(domains=DEFAULT_DOMAINS, weights=np.full(n, 1.0 / n))
-
-    @staticmethod
     def from_mapping(mapping: dict[str, float]) -> "DomainWeights":
         domains = tuple(mapping.keys())
         w = np.array([mapping[d] for d in domains], dtype=np.float64)
@@ -95,28 +90,17 @@ class SamplerState:
         loss = np.asarray(self.reference_loss, dtype=np.float64)
         if len(loss) != len(self.current.domains):
             raise ValueError("one reference loss per domain required")
+        if not np.all(np.isfinite(loss)):
+            raise ValueError("reference_loss must be finite")
         object.__setattr__(self, "reference_loss", loss)
 
-    @staticmethod
-    def static(weights: DomainWeights) -> "SamplerState":
-        return SamplerState(
-            current=weights,
-            reference_weights=weights,
-            reference_loss=np.zeros(len(weights.domains)),
-            mode=SamplerMode.STATIC,
-            update_interval_tokens=1,
-        )
 
-
-def next_domain(state: SamplerState, rng: Rng, count: int | None = None):
-    """Draw one domain under the current weights, or with `count` a list of
-    that many, the same as `count` single draws (one bulk draw from `rng`).
-    Returns the draw and the state with one more token per domain drawn."""
+def next_domain(state: SamplerState, rng: Rng, count: int):
+    """Draw a list of `count` domains under the current weights (one bulk
+    draw from `rng`). Returns the list and the state with one more token
+    per domain drawn."""
     domains, weights = state.current.domains, state.current.weights
-    if count is None:
-        drawn, count = domains[rng.choice_weighted(weights)], 1
-    else:
-        drawn = [domains[i] for i in rng.choice_weighted(weights, count).tolist()]
+    drawn = [domains[i] for i in rng.choice_weighted(weights, count).tolist()]
     return drawn, replace(state, tokens_since_update=state.tokens_since_update + count)
 
 

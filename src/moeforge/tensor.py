@@ -51,12 +51,6 @@ def sigmoid(z: np.ndarray) -> np.ndarray:
     return out
 
 
-def swish(z: np.ndarray) -> np.ndarray:
-    """Swish activation z * sigmoid(z) (the nonlinearity inside SwiGLU)."""
-    z = np.asarray(z, dtype=np.float64)
-    return z * sigmoid(z)
-
-
 def softmax(logits: np.ndarray) -> np.ndarray:
     """Numerically stable softmax over the last axis, so a (B, n) batch is
     normalised row by row. -inf entries act as masks and map to 0.
@@ -91,45 +85,43 @@ class Rng:
     z *= 0x94D049BB133111EB; z ^= z >> 31 of the new state, all mod 2**64.
     A uniform is (draw >> 11) * 2**-53. Normals are the Box-Muller pairs of
     consecutive uniforms (1 - u1, u2), and an odd count drops the sin half
-    of its last pair. Draw i depends only on state + i * gamma, so a block
-    of draws is one array expression and equals as many single draws.
-    Identical seeds give identical streams.
+    of its last pair. Draw i depends only on state + i * gamma, so every
+    method takes its draws as blocks, each one array expression
+    (`_u64_block`). Identical seeds give identical streams.
     """
 
     def __init__(self, seed: int):
         self._state = seed & _MASK64
 
-    def next_u64(self) -> int:
-        self._state = z = (self._state + _GAMMA) & _MASK64
-        z = ((z ^ (z >> 30)) * _MIX_A) & _MASK64
-        z = ((z ^ (z >> 27)) * _MIX_B) & _MASK64
-        return z ^ (z >> 31)
-
-    def next_float(self) -> float:
-        """Uniform in [0, 1) with 53 random bits: (next_u64() >> 11) * 2**-53."""
-        return (self.next_u64() >> 11) * (1.0 / (1 << 53))
-
-    def next_below(self, n: int) -> int:
-        """Uniform integer in [0, n) by rejection (no modulo bias)."""
-        if n <= 0:
-            raise ValueError("n must be positive")
-        limit = _MASK64 - (_MASK64 + 1) % n
-        while True:
-            x = self.next_u64()
-            if x <= limit:
-                return x % n
-
     def shuffle(self, items: list) -> list:
-        """In-place Fisher-Yates shuffle; returns the list."""
-        for i in range(len(items) - 1, 0, -1):
-            j = self.next_below(i + 1)
-            items[i], items[j] = items[j], items[i]
+        """In-place Fisher-Yates shuffle; returns the list.
+
+        For i = n-1 down to 1 it swaps items i and j, with j uniform in
+        [0, i] by rejection (no modulo bias): a draw x is kept if
+        x <= 2**64-1 - 2**64 mod (i+1), and j = x mod (i+1). The draws come
+        _BLOCK at a time; after a rejected draw the state moves to just past
+        it and the rest are drawn again, so the items and the state left
+        behind are those of one draw at a time.
+        """
+        i = len(items) - 1
+        mask = np.uint64(_MASK64)
+        while i > 0:
+            bound = np.arange(i + 1, max(i + 1 - _BLOCK, 1), -1).astype(np.uint64)
+            start = self._state
+            x = self._u64_block(len(bound))
+            ok = x <= mask - (mask % bound + np.uint64(1)) % bound
+            kept = len(bound) if ok.all() else int(np.argmin(ok))
+            if kept < len(bound):  # draw again from just past the rejected draw
+                self._state = (start + (kept + 1) * _GAMMA) & _MASK64
+            for j in (x[:kept] % bound[:kept]).tolist():
+                items[i], items[j] = items[j], items[i]
+                i -= 1
         return items
 
     def normal_array(self, shape, scale: float = 1.0) -> np.ndarray:
         """Standard normals in C order, times `scale`.
 
-        Each consecutive pair of next_float() draws (u1, u2) gives the
+        Each consecutive pair of uniform draws (u1, u2) gives the
         Box-Muller pair of (1 - u1, u2); 1 - u1 lies in (0, 1], so nothing
         is ever redrawn. An odd count drops the sin half of its last pair. The
         draws are made _BLOCK at a time, which bounds the temporaries.
@@ -147,8 +139,8 @@ class Rng:
         return out.reshape(shape)
 
     def _u64_block(self, count: int) -> np.ndarray:
-        """The next `count` next_u64() outputs as uint64, advancing the state:
-        the splitmix64 mix of state + gamma * [1, ..., count]."""
+        """The next `count` draws as uint64, advancing the state: the
+        splitmix64 mix of state + gamma * [1, ..., count]."""
         z = np.arange(1, count + 1, dtype=np.uint64)
         z *= np.uint64(_GAMMA)
         z += np.uint64(self._state)
@@ -161,31 +153,22 @@ class Rng:
         return z
 
     def _floats(self, count: int) -> np.ndarray:
-        """The next `count` next_float() values as float64."""
+        """The next `count` uniforms (draw >> 11) * 2**-53 as float64."""
         u = (self._u64_block(count) >> np.uint64(11)).astype(np.float64)
         u *= 1.0 / (1 << 53)
         return u
 
-    def choice_weighted(self, weights: np.ndarray, count: int | None = None):
-        """Index drawn with probability proportional to `weights` (sum ~ 1).
+    def choice_weighted(self, weights: np.ndarray, count: int) -> np.ndarray:
+        """An int array of `count` indices, each drawn with probability
+        proportional to the nonnegative `weights` (sum ~ 1), one uniform each.
 
-        With `count`, an int array of `count` such draws from one block of
-        the stream: the values and the state left behind are identical to
-        `count` single draws, for nonnegative weights. `np.cumsum` adds in
-        sequence like the running sum below, and the first edge above u is
-        a right-sided search.
+        Draw u is scaled by np.sum(weights), and its index is the first i
+        whose running sum np.cumsum(weights)[i] exceeds it (a right-sided
+        search), or the last index if none does.
         """
-        if count is None:
-            u = self.next_float() * float(np.sum(weights))
-            acc = 0.0
-            for i, w in enumerate(weights):
-                acc += float(w)
-                if u < acc:
-                    return i
-            return len(weights) - 1
         w = np.asarray(weights, dtype=np.float64)
         if np.any(w < 0):
-            raise ValueError("bulk weighted draws need nonnegative weights")
+            raise ValueError("weighted draws need nonnegative weights")
         edges, scale = np.cumsum(w), float(np.sum(weights))
         out = np.empty(count, dtype=np.intp)
         for start in range(0, count, _BLOCK):

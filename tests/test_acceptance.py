@@ -22,6 +22,7 @@ from moeforge.partition import (
 )
 from moeforge.routing import RoutingColumns, collect_routing, routing_l2_matrix
 from moeforge.sampler import (
+    DEFAULT_DOMAINS,
     DomainWeights,
     SamplerMode,
     SamplerState,
@@ -36,6 +37,8 @@ from moeforge.trainer import (
     random_init_like,
     train_distill,
 )
+
+from scalar_stream import next_below, shuffle
 
 
 def report(criterion, text):
@@ -201,7 +204,7 @@ def test_criterion_7_balance_cv_closed_forms():
 
 
 def test_criterion_8_sampler():
-    uniform = DomainWeights.uniform()
+    uniform = DomainWeights(domains=DEFAULT_DOMAINS, weights=np.full(7, 1.0 / 7))
     ref_loss = np.linspace(1.0, 2.0, 7)
     dyn = SamplerState(
         current=uniform,
@@ -225,11 +228,17 @@ def test_criterion_8_sampler():
     assert abs(upd.current.weights[0] - 2 / 3) <= 1e-12
     assert abs(upd.current.weights[1] - 1 / 3) <= 1e-12
 
-    static = SamplerState.static(uniform)
+    static = SamplerState(
+        current=uniform,
+        reference_weights=uniform,
+        reference_loss=np.zeros(7),
+        mode=SamplerMode.STATIC,
+        update_interval_tokens=1,
+    )
     rng = Rng(17)
     start = static.current.weights.copy()
     for _ in range(10_000):
-        _, static = next_domain(static, rng)
+        _, static = next_domain(static, rng, 1)
         assert np.array_equal(static.current.weights, start)
     report(8, "dynamic revert/ln-2 closed forms and 10^4-draw static flatness")
 
@@ -247,13 +256,13 @@ def test_criterion_9_routing_analysis():
     # fuzzed conservation: each token contributes exactly k records per layer
     for seed in range(20):
         rng = Rng(seed)
-        k = 1 + rng.next_below(3)
-        n_experts = 4 + rng.next_below(4)
+        k = 1 + next_below(rng, 3)
+        n_experts = 4 + next_below(rng, 4)
         records = []
         for t in range(30):
-            dom = domains[rng.next_below(2)]
+            dom = domains[next_below(rng, 2)]
             for layer in range(2):
-                for e in sorted(rng.shuffle(list(range(n_experts)))[:k]):
+                for e in sorted(shuffle(rng, list(range(n_experts)))[:k]):
                     records.append((t, dom, layer, e))
         stats = collect_routing(columns(records), 2, n_experts, domains)
         for layer in range(2):

@@ -14,6 +14,8 @@ from moeforge.partition import split_independent_random, split_sharing_inter
 from moeforge.sampler import DEFAULT_DOMAINS
 from moeforge.tensor import Rng
 
+from scalar_stream import next_below, shuffle
+
 
 @pytest.fixture
 def teacher_file(tmp_path):
@@ -834,8 +836,8 @@ class TestAnalyze:
         rows = []
         rng = Rng(8)
         for t in range(40):
-            dom = ("CommonCrawl", "C4", "GitHub")[rng.next_below(3)]
-            for e in sorted(rng.shuffle(list(range(4)))[:2]):
+            dom = ("CommonCrawl", "C4", "GitHub")[next_below(rng, 3)]
+            for e in sorted(shuffle(rng, list(range(4)))[:2]):
                 rows.append(f"{t},{dom},0,{e},0.5")
         path = self.write_csv(tmp_path, rows)
         blobs = []

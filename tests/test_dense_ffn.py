@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from moeforge.dense_ffn import DenseFfn, ffn_forward
-from moeforge.tensor import Rng, ShapeError, swish
+from moeforge.tensor import Rng, ShapeError
 
 SIGMOID_1 = 0.7310585786300049
 

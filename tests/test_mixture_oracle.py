@@ -35,9 +35,14 @@ from moeforge.sampler import (
 )
 from moeforge.tensor import Rng
 
-MASK64 = (1 << 64) - 1
-GAMMA = 0x9E3779B97F4A7C15
-MIX_A, MIX_B = 0xBF58476D1CE4E5B9, 0x94D049BB133111EB
+from scalar_stream import (
+    choice_one,
+    next_domain_one,
+    next_float,
+    state_before_output,
+    static_state,
+)
+
 PRESETS = ("llama_v1", "sheared_final", "uniform")
 
 
@@ -62,7 +67,7 @@ def test_bulk_draws_match_single_draws(name):
     ref = Rng(17)
     single, states = [], {0: ref._state}
     for n in range(1, max(COUNTS) + 1):
-        single.append(ref.choice_weighted(weights))
+        single.append(choice_one(ref, weights))
         states[n] = ref._state
     for count in COUNTS:
         rng = Rng(17)
@@ -75,32 +80,26 @@ def test_bulk_draws_match_single_draws(name):
 def test_bulk_draws_continue_the_stream():
     bulk, ref = Rng(3), Rng(3)
     weights = WEIGHTS["llama_v1"]
-    got = [bulk.choice_weighted(weights)]
+    got = [choice_one(bulk, weights)]
     for count in (5, 0, 1, 300, 2):
         got += bulk.choice_weighted(weights, count).tolist()
-        got.append(bulk.choice_weighted(weights))
-    want = [ref.choice_weighted(weights) for _ in range(len(got))]
+        got.append(choice_one(bulk, weights))
+    want = [choice_one(ref, weights) for _ in range(len(got))]
     assert got == want and bulk._state == ref._state
 
 
 def rng_first_uniform(u: float) -> Rng:
-    """An Rng whose first next_float() is exactly u: the state one gamma
-    before the splitmix64 mix inverse of u's 53 bits, shifted up by 11."""
-    z = int(u * 2.0**53) << 11
-    z ^= (z >> 31) ^ (z >> 62)
-    z = z * pow(MIX_B, -1, 1 << 64) & MASK64
-    z ^= (z >> 27) ^ (z >> 54)
-    z = z * pow(MIX_A, -1, 1 << 64) & MASK64
-    z ^= (z >> 30) ^ (z >> 60)
+    """An Rng whose first next_float is exactly u: the state before the draw
+    of u's 53 bits, shifted up by 11."""
     rng = Rng(0)
-    rng._state = (z - GAMMA) & MASK64
+    rng._state = state_before_output(int(u * 2.0**53) << 11, 0)
     return rng
 
 
 def assert_bulk_draw_is_single_draw(u, weights):
     check, bulk, ref = (rng_first_uniform(u) for _ in range(3))
-    assert check.next_float() == u
-    assert bulk.choice_weighted(weights, 1).tolist() == [ref.choice_weighted(weights)]
+    assert next_float(check) == u
+    assert bulk.choice_weighted(weights, 1).tolist() == [choice_one(ref, weights)]
 
 
 @pytest.mark.parametrize("u", [0.0, 0.25, 0.5, 0.75, 1.0 - 2.0**-53])
@@ -132,11 +131,11 @@ def test_bulk_draws_reject_negative_weights():
 
 
 def test_next_domain_count_matches_single_draws():
-    state = SamplerState.static(load_preset("llama_v1"))
+    state = static_state(load_preset("llama_v1"))
     drawn, bulk_state = next_domain(state, Rng(8), 50)
     rng, single = Rng(8), []
     for _ in range(50):
-        name, state = next_domain(state, rng)
+        name, state = next_domain_one(state, rng)
         single.append(name)
     assert drawn == single
     assert bulk_state.tokens_since_update == state.tokens_since_update == 50
@@ -181,7 +180,7 @@ def schedule_oracle(args) -> int:
             )
             state = dynamic_update(state, obs)
             update_idx += 1
-        domain, state = next_domain(state, rng)
+        domain, state = next_domain_one(state, rng)
         row = ",".join(repr(float(w)) for w in state.current.weights)
         lines.append(f"{step},{domain},{row}")
     with open(args.out, "w") as f:

@@ -12,8 +12,10 @@ from moeforge.moe import (
     softplus,
 )
 from moeforge.partition import split_independent_random
-from moeforge.tensor import Rng, ShapeError, softmax, swish
+from moeforge.tensor import Rng, ShapeError, softmax
 from moeforge.trainer import batch_loss_and_grads
+
+from scalar_stream import swish
 
 
 def naive_moe_output(layer, x):

@@ -10,6 +10,8 @@ from moeforge.routing import (
 )
 from moeforge.tensor import Rng
 
+from scalar_stream import next_below, shuffle
+
 DOMAINS = ("alpha", "beta", "gamma")
 
 
@@ -25,9 +27,9 @@ def synthetic_stream(n_tokens, k, n_experts, n_layers, domains, seed):
     rng = Rng(seed)
     records = []
     for t in range(n_tokens):
-        domain = domains[rng.next_below(len(domains))]
+        domain = domains[next_below(rng, len(domains))]
         for layer in range(n_layers):
-            picks = rng.shuffle(list(range(n_experts)))[:k]
+            picks = shuffle(rng, list(range(n_experts)))[:k]
             for e in picks:
                 records.append((t, domain, layer, e))
     return records

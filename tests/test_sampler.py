@@ -16,12 +16,15 @@ from moeforge.sampler import (
 )
 from moeforge.tensor import Rng
 
+from scalar_stream import static_state, uniform_weights
+
 
 class TestDomainWeights:
     def test_uniform(self):
-        w = DomainWeights.uniform()
+        w = uniform_weights()
         assert len(w.domains) == 7
         assert abs(w.weights.sum() - 1.0) <= 1e-12
+        assert np.allclose(load_preset("uniform").weights, w.weights, rtol=0, atol=1e-15)
 
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
@@ -63,32 +66,31 @@ class TestDomainWeights:
 class TestNextDomain:
     def test_single_domain(self):
         w = DomainWeights(domains=DEFAULT_DOMAINS, weights=np.eye(7)[0])
-        state = SamplerState.static(w)
+        state = static_state(w)
         rng = Rng(0)
         for _ in range(100):
-            domain, state = next_domain(state, rng)
+            (domain,), state = next_domain(state, rng, 1)
             assert domain == "CommonCrawl"
 
     def test_uniform_frequencies(self):
-        state = SamplerState.static(DomainWeights.uniform())
+        state = static_state(uniform_weights())
         rng = Rng(42)
         counts = {d: 0 for d in DEFAULT_DOMAINS}
         draws = 70_000
-        for _ in range(draws):
-            domain, state = next_domain(state, rng)
+        for domain in next_domain(state, rng, draws)[0]:
             counts[domain] += 1
         for d in DEFAULT_DOMAINS:
             assert abs(counts[d] / draws - 1 / 7) < 0.015
 
     def test_determinism(self):
-        state = SamplerState.static(DomainWeights.uniform())
-        a = [next_domain(state, Rng(5))[0]]
-        b = [next_domain(state, Rng(5))[0]]
+        state = static_state(uniform_weights())
+        a = next_domain(state, Rng(5), 1)[0]
+        b = next_domain(state, Rng(5), 1)[0]
         assert a == b
 
     def test_token_counter_advances(self):
-        state = SamplerState.static(DomainWeights.uniform())
-        _, state = next_domain(state, Rng(1))
+        state = static_state(uniform_weights())
+        _, state = next_domain(state, Rng(1), 1)
         assert state.tokens_since_update == 1
 
 
@@ -101,6 +103,15 @@ class TestDynamicUpdate:
             mode=SamplerMode.DYNAMIC,
             update_interval_tokens=interval,
         )
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_reference_loss_refused(self, bad):
+        # the CLI refuses these when it reads the loss file; API callers meet
+        # this check, which names the field
+        ref = np.full(7, 2.0)
+        ref[3] = bad
+        with pytest.raises(ValueError, match="reference_loss must be finite"):
+            self.make_dynamic(load_preset("llama_v1"), ref)
 
     @pytest.mark.parametrize("interval", [0, -5])
     def test_nonpositive_interval_refused(self, interval):
@@ -140,7 +151,7 @@ class TestDynamicUpdate:
         assert updated.current.weights.tolist() == [0.0, 1.0]
 
     def test_negative_excess_clamped(self):
-        w = DomainWeights.uniform()
+        w = uniform_weights()
         state = self.make_dynamic(w, np.full(7, 2.0))
         updated = dynamic_update(state, np.full(7, 1.0))
         assert np.array_equal(updated.current.weights, w.weights)
@@ -156,12 +167,12 @@ class TestDynamicUpdate:
             assert abs(ws.sum() - 1.0) <= 1e-12
 
     def test_static_mode_rejected(self):
-        state = SamplerState.static(DomainWeights.uniform())
+        state = static_state(uniform_weights())
         with pytest.raises(ValueError):
             dynamic_update(state, np.zeros(7))
 
     def test_cadence(self):
-        w = DomainWeights.uniform()
+        w = uniform_weights()
         state = self.make_dynamic(w, np.zeros(7), interval=5)
         rng = Rng(9)
         updates = 0
@@ -169,15 +180,15 @@ class TestDynamicUpdate:
             if update_due(state):
                 state = dynamic_update(state, state.reference_loss)
                 updates += 1
-            _, state = next_domain(state, rng)
+            _, state = next_domain(state, rng, 1)
         assert updates == 9  # counter reaches 5 nine times over 50 draws
 
     def test_static_weights_never_change(self):
-        state = SamplerState.static(load_preset("llama_v1"))
+        state = static_state(load_preset("llama_v1"))
         rng = Rng(11)
         start = state.current.weights.copy()
         for _ in range(10_000):
             assert not update_due(state)
-            _, state = next_domain(state, rng)
+            _, state = next_domain(state, rng, 1)
             assert np.array_equal(state.current.weights, start)
 

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from moeforge.tensor import Rng, sigmoid, softmax, swish
+from moeforge.tensor import Rng, sigmoid, softmax
+
+from scalar_stream import swish
 
 # sigma(1) to full float64 precision (reference: 1/(1+exp(-1)))
 SIGMOID_1 = 0.7310585786300049
@@ -86,30 +88,10 @@ class TestSoftmax:
 
 
 class TestRng:
-    def test_same_seed_same_stream(self):
-        a = Rng(12345)
-        b = Rng(12345)
-        assert [a.next_u64() for _ in range(10_000)] == [
-            b.next_u64() for _ in range(10_000)
-        ]
-
-    def test_different_seeds_differ(self):
-        assert Rng(1).next_u64() != Rng(2).next_u64()
-
-    def test_floats_in_unit_interval(self):
-        rng = Rng(9)
-        vals = [rng.next_float() for _ in range(1000)]
-        assert all(0.0 <= v < 1.0 for v in vals)
-        assert 0.4 < sum(vals) / len(vals) < 0.6
-
     def test_shuffle_is_permutation(self):
         rng = Rng(4)
         out = rng.shuffle(list(range(100)))
         assert sorted(out) == list(range(100))
-
-    def test_next_below_range(self):
-        rng = Rng(8)
-        assert all(0 <= rng.next_below(7) < 7 for _ in range(1000))
 
     def test_normals_standardish(self):
         rng = Rng(11)
